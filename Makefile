@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-batch bench-cold bench-fleet bench-graph bench-sens bench-shard chaos fuzz fmt vet lint ci
+.PHONY: build test race bench bench-module bench-batch bench-cold bench-fleet bench-graph bench-sens bench-shard chaos fuzz fmt vet lint ci
 
 # Seconds-per-target budget for the fuzz smoke; CI uses the default.
 FUZZTIME ?= 5s
@@ -135,7 +135,12 @@ vet:
 lint: vet
 	$(GO) run ./cmd/icostvet ./...
 
-ci: fmt lint build race chaos bench
+# bench-module: icostbench/ is a nested Go module, so the root
+# `go vet ./...` and `go test ./...` never reach its unit tests.
+bench-module:
+	cd icostbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: fmt lint build race chaos bench bench-module
 	$(MAKE) bench-fleet FLEET_BENCHTIME=1x
 	$(MAKE) bench-graph GRAPH_BENCHTIME=1x
 	$(MAKE) bench-sens SENS_BENCHTIME=1x

@@ -241,7 +241,8 @@ func NewHandler(e *engine.Engine, agg *fleet.Aggregator, opts Options) http.Hand
 // malformed queries and ingest streams (the typed validation errors)
 // 400, a fleet query against an absent aggregate 404, a snapshot
 // pushed in a codec version this build cannot decode 426, a snapshot
-// whose payload fails its checksum 422, and any unclassified failure
+// whose payload fails its checksum or its structural checks 422, and
+// any unclassified failure
 // — a broken build, an internal fault — 500, so server-side trouble
 // is never misreported as the client's.
 func WriteQueryError(w http.ResponseWriter, err error) {
@@ -251,6 +252,7 @@ func WriteQueryError(w http.ResponseWriter, err error) {
 	var fmiss *fleet.NotFoundError
 	var sver *engine.SnapshotVersionError
 	var scrc *engine.SnapshotChecksumError
+	var scor *engine.SnapshotCorruptError
 	switch {
 	case errors.As(err, &full):
 		secs := int(full.RetryAfter.Seconds() + 0.5)
@@ -267,7 +269,7 @@ func WriteQueryError(w http.ResponseWriter, err error) {
 		Error(w, http.StatusServiceUnavailable, err.Error())
 	case errors.As(err, &sver):
 		Error(w, http.StatusUpgradeRequired, err.Error())
-	case errors.As(err, &scrc):
+	case errors.As(err, &scrc), errors.As(err, &scor):
 		Error(w, http.StatusUnprocessableEntity, err.Error())
 	case errors.As(err, &bad), errors.As(err, &fbad):
 		Error(w, http.StatusBadRequest, err.Error())

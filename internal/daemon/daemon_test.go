@@ -8,7 +8,9 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -100,7 +102,8 @@ func TestReplicationPlaneRoundTrip(t *testing.T) {
 
 // TestRestoreErrorStatuses: the typed snapshot decode errors map to
 // distinct, router-distinguishable statuses — codec version to 426,
-// checksum damage to 422 — and neither installs anything.
+// checksum damage or a CRC-valid frame that breaks the graph's
+// structure to 422 — and none installs anything.
 func TestRestoreErrorStatuses(t *testing.T) {
 	leakcheck.Check(t)
 	e1, srv1 := startShard(t)
@@ -143,7 +146,63 @@ func TestRestoreErrorStatuses(t *testing.T) {
 		t.Fatalf("damaged payload: status %d, want 422", got)
 	}
 
+	if got := push(forwardRefSnapshot(t, good)); got != http.StatusUnprocessableEntity {
+		t.Fatalf("CRC-valid forward reference: status %d, want 422", got)
+	}
+
 	if m := e2.Metrics(); m.SessionsLive != 0 {
 		t.Fatalf("rejected snapshots left %d live sessions", m.SessionsLive)
 	}
+}
+
+// forwardRefSnapshot re-encodes a whole-graph ICSS v2 frame with
+// instruction 0's first producer pointing forward at instruction 1,
+// recomputing the CRC so only the structural checks can catch it.
+func forwardRefSnapshot(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	r := bytes.NewReader(frame[9:]) // past magic+version and CRC
+	plen, err := binary.ReadUvarint(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := append([]byte(nil), frame[len(frame)-int(plen):]...)
+	pr := bytes.NewReader(payload)
+	uv := func(k int) {
+		for ; k > 0; k-- {
+			if _, err := binary.ReadUvarint(pr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	skip := func(k int64) {
+		if _, err := pr.Seek(k, io.SeekCurrent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blen, err := binary.ReadUvarint(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skip(int64(blen)) // bench name
+	uv(1 + 7 + 2)     // seed, seven spec ints, build time, cycles
+	skip(1)           // kind byte (whole graph)
+	uv(1 + 12)        // instruction count, graph config
+	skip(1)           // instruction 0: opcode
+	uv(1)             // static index
+	skip(4)           // flags, data level, fetch level, fetch break
+	uv(2)             // RE and CC latencies
+	off := len(payload) - pr.Len()
+	if payload[off] != 0 {
+		t.Fatalf("instruction 0 producer byte %d, want 0 (none)", payload[off])
+	}
+	payload[off] = 2 // producer = instruction 1, stored +1
+
+	var out bytes.Buffer
+	out.Write(frame[:5])
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	out.Write(crc[:])
+	out.Write(binary.AppendUvarint(nil, plen))
+	out.Write(payload)
+	return out.Bytes()
 }

@@ -32,10 +32,23 @@ func buildBenchGraph(tb testing.TB, bench string, seed uint64, n int) *ooo.Resul
 	return res
 }
 
+// propertyCase is one idealization under test plus the index of the
+// binary case whose legacy-oracle answer it must reproduce. The
+// oracle knows only flags, so a scaled variant is checked against its
+// binary equivalent: α=0 on every selected category is the binary
+// idealization itself, AlphaOne on every category is the baseline.
+type propertyCase struct {
+	id  depgraph.Ideal
+	ref int
+}
+
 // propertyIdeals is the idealization set the properties quantify over:
 // the empty set, every base category, representative unions, the full
-// union, and seeded per-instruction masks.
-func propertyIdeals(r *rng.Rand, n int) []depgraph.Ideal {
+// union, and seeded per-instruction masks — each also as an α=0 vector
+// variant (α=0 on its selected categories, AlphaOne on the rest, which
+// the semantics ignore) and as an all-AlphaOne variant that must equal
+// the baseline.
+func propertyIdeals(r *rng.Rand, n int) []propertyCase {
 	ids := []depgraph.Ideal{{}}
 	for b := 0; b < depgraph.NumFlags; b++ {
 		ids = append(ids, depgraph.Ideal{Global: 1 << b})
@@ -54,7 +67,18 @@ func propertyIdeals(r *rng.Rand, n int) []depgraph.Ideal {
 		}
 		ids = append(ids, depgraph.Ideal{Global: depgraph.Flags(r.Uint64()) & depgraph.AllFlags, PerInst: per})
 	}
-	return ids
+	cases := make([]propertyCase, 0, 3*len(ids))
+	for k, id := range ids {
+		used := id.Global
+		for _, f := range id.PerInst {
+			used |= f
+		}
+		zero, one := id, id
+		zero.Scale = depgraph.ScaleUniform(depgraph.AllFlags&^used, depgraph.AlphaOne)
+		one.Scale = depgraph.ScaleUniform(depgraph.AllFlags, depgraph.AlphaOne)
+		cases = append(cases, propertyCase{id, 3 * k}, propertyCase{zero, 3 * k}, propertyCase{one, 0})
+	}
+	return cases
 }
 
 func sameTimes(t *testing.T, bench string, seed uint64, id depgraph.Ideal, got, want *depgraph.Times) {
@@ -87,19 +111,20 @@ func TestCSRBitIdenticalAcrossBenches(t *testing.T) {
 			res := buildBenchGraph(t, bench, seed, n)
 			g := res.Graph
 			r := rng.New(seed * 977)
-			ids := propertyIdeals(r, g.Len())
+			cases := propertyIdeals(r, g.Len())
 
-			var globals []depgraph.Ideal
-			for _, id := range ids {
-				if id.PerInst == nil {
-					globals = append(globals, id)
+			var globals, globalRefs []depgraph.Ideal
+			for _, c := range cases {
+				if c.id.PerInst == nil {
+					globals = append(globals, c.id)
+					globalRefs = append(globalRefs, cases[c.ref].id)
 				}
 			}
 			batch, err := g.EvalBatch(ctx, globals)
 			if err != nil {
 				t.Fatalf("%s seed %d: EvalBatch: %v", bench, seed, err)
 			}
-			legacyBatch := legacyEvalBatch(g, globals)
+			legacyBatch := legacyEvalBatch(g, globalRefs)
 			for k := range globals {
 				if batch[k] != legacyBatch[k] {
 					t.Fatalf("%s seed %d ideal %v: EvalBatch %d, legacy %d",
@@ -107,14 +132,22 @@ func TestCSRBitIdenticalAcrossBenches(t *testing.T) {
 				}
 			}
 
-			for _, id := range ids {
-				if got, want := g.ExecTime(id), legacyExecTime(g, id); got != want {
+			// The legacy oracle runs once per binary case; the scaled
+			// variants that follow it reuse its answer.
+			legacyT := make([]*depgraph.Times, len(cases))
+			legacySl := make([][]int64, len(cases))
+			for k, c := range cases {
+				if c.ref == k {
+					legacyT[k], legacySl[k] = legacyNodeTimes(g, c.id), legacySlacks(g, c.id)
+				}
+				wantT, wantSl := legacyT[c.ref], legacySl[c.ref]
+				id := c.id
+				if got, want := g.ExecTime(id), wantT.C[g.Len()-1]+1; got != want {
 					t.Fatalf("%s seed %d ideal %v: ExecTime %d, legacy %d",
 						bench, seed, id, got, want)
 				}
-				sameTimes(t, bench, seed, id, g.NodeTimes(id), legacyNodeTimes(g, id))
+				sameTimes(t, bench, seed, id, g.NodeTimes(id), wantT)
 				gotSl := g.Slacks(id)
-				wantSl := legacySlacks(g, id)
 				for i := range wantSl {
 					if gotSl[i] != wantSl[i] {
 						t.Fatalf("%s seed %d ideal %v: Slacks[%d] = %d, legacy %d",

@@ -8,7 +8,8 @@ package depgraph_test
 //   - legacyNodeTimes: the scalar forward recurrence re-deriving every
 //     latency from InstInfo per instruction per idealization.
 //   - legacyLatest: the backward pass enumerating explicit []Edge
-//     in-edge lists (one allocation per node visit).
+//     in-edge lists (one allocation per node visit) from
+//     legacyInEdges, the flag-form edge enumeration.
 //   - legacyEvalBatch: the 8-lane-capped AoS-parts batch kernel.
 //
 // Everything here uses only the exported Graph surface, exactly like
@@ -118,8 +119,69 @@ func legacyNodeTime(t *depgraph.Times, k depgraph.NodeKind, i int) int64 {
 	}
 }
 
+// legacyInEdges is the original flag-form InEdges: every latency
+// re-derived via DDLat/EPLat, every edge gate a flag test.
+func legacyInEdges(g *depgraph.Graph, i int, id depgraph.Ideal) []depgraph.Edge {
+	type E = depgraph.Edge
+	const (
+		nD, nR, nE, nP, nC = depgraph.NodeD, depgraph.NodeR, depgraph.NodeE, depgraph.NodeP, depgraph.NodeC
+	)
+	f := id.Of(i)
+	cfg := &g.Cfg
+	var out []E
+	// Into D.
+	if i > 0 {
+		out = append(out, E{Kind: depgraph.EdgeDD, FromInst: i - 1, FromNode: nD, ToInst: i, ToNode: nD, Lat: g.DDLat(i, f)})
+		if g.Info[i-1].Mispredict && id.Of(i-1)&depgraph.IdealBMisp == 0 {
+			out = append(out, E{Kind: depgraph.EdgePD, FromInst: i - 1, FromNode: nP, ToInst: i, ToNode: nD, Lat: int64(cfg.BranchRecovery)})
+		}
+	}
+	if f&depgraph.IdealBW == 0 && i >= cfg.FetchBW {
+		out = append(out, E{Kind: depgraph.EdgeFBW, FromInst: i - cfg.FetchBW, FromNode: nD, ToInst: i, ToNode: nD, Lat: 1})
+	}
+	w := cfg.Window
+	if f&depgraph.IdealWindow != 0 {
+		w *= cfg.WindowIdealFactor
+	}
+	if i >= w {
+		out = append(out, E{Kind: depgraph.EdgeCD, FromInst: i - w, FromNode: nC, ToInst: i, ToNode: nD})
+	}
+	// Into R.
+	out = append(out, E{Kind: depgraph.EdgeDR, FromInst: i, FromNode: nD, ToInst: i, ToNode: nR, Lat: int64(cfg.DispatchToReady)})
+	if p := g.Prod1[i]; p >= 0 {
+		out = append(out, E{Kind: depgraph.EdgePR, FromInst: int(p), FromNode: nP, ToInst: i, ToNode: nR, Lat: int64(cfg.WakeupExtra)})
+	}
+	if p := g.Prod2[i]; p >= 0 {
+		out = append(out, E{Kind: depgraph.EdgePR, FromInst: int(p), FromNode: nP, ToInst: i, ToNode: nR, Lat: int64(cfg.WakeupExtra)})
+	}
+	// Into E.
+	re := int64(0)
+	if f&depgraph.IdealBW == 0 {
+		re = int64(g.RELat[i])
+	}
+	out = append(out, E{Kind: depgraph.EdgeRE, FromInst: i, FromNode: nR, ToInst: i, ToNode: nE, Lat: re})
+	// Into P.
+	out = append(out, E{Kind: depgraph.EdgeEP, FromInst: i, FromNode: nE, ToInst: i, ToNode: nP, Lat: g.EPLat(i, f)})
+	if l := g.PPLeader[i]; l >= 0 && f&depgraph.IdealDMiss == 0 {
+		out = append(out, E{Kind: depgraph.EdgePP, FromInst: int(l), FromNode: nP, ToInst: i, ToNode: nP})
+	}
+	// Into C.
+	out = append(out, E{Kind: depgraph.EdgePC, FromInst: i, FromNode: nP, ToInst: i, ToNode: nC, Lat: int64(cfg.CompleteToCommit)})
+	if i > 0 {
+		cc := int64(0)
+		if f&depgraph.IdealBW == 0 {
+			cc = int64(g.CCLat[i])
+		}
+		out = append(out, E{Kind: depgraph.EdgeCC, FromInst: i - 1, FromNode: nC, ToInst: i, ToNode: nC, Lat: cc})
+	}
+	if f&depgraph.IdealBW == 0 && i >= cfg.CommitBW {
+		out = append(out, E{Kind: depgraph.EdgeCBW, FromInst: i - cfg.CommitBW, FromNode: nC, ToInst: i, ToNode: nC, Lat: 1})
+	}
+	return out
+}
+
 // legacyLatest is the original latestInto: explicit in-edge lists from
-// InEdges, one []Edge allocation per node visit.
+// legacyInEdges, one []Edge allocation per node visit.
 func legacyLatest(g *depgraph.Graph, id depgraph.Ideal, t *depgraph.Times) *depgraph.Latest {
 	n := g.Len()
 	l := &depgraph.Latest{
@@ -153,7 +215,7 @@ func legacyLatest(g *depgraph.Graph, id depgraph.Ideal, t *depgraph.Times) *depg
 			if *to == legacyInf {
 				*to = legacyNodeTime(t, node, i)
 			}
-			for _, e := range g.InEdges(i, id) {
+			for _, e := range legacyInEdges(g, i, id) {
 				if e.ToNode != node {
 					continue
 				}

@@ -88,11 +88,12 @@ func randomScale(r *rng.Rand) ScaleVec {
 	return s
 }
 
-// TestScaledAlphaZeroBitExact drives the scaled kernels — scalar,
-// batch and backward — through the public API with every selected
-// category at α=0 and checks bit-exactness against the binary zero-out
-// flags. Routing to the scaled kernels is forced by a nonzero scale
-// entry on an *unselected* category, which the semantics ignore.
+// TestScaledAlphaZeroBitExact drives the kernels — scalar, batch and
+// backward — through the public API with every selected category at
+// α=0 plus a nonzero scale entry on an *unselected* category, and
+// checks the answers equal the plain zero-out flags: entries of
+// unselected categories are ignored. The α=0 endpoint against an
+// independent reference is csr_property_test.go's job.
 func TestScaledAlphaZeroBitExact(t *testing.T) {
 	ctx := context.Background()
 	for seed := uint64(1); seed <= 40; seed++ {
@@ -256,7 +257,7 @@ func TestScaledMonotoneInAlpha(t *testing.T) {
 }
 
 // TestScaledCriticalPathBinds: on scaled idealizations the edge
-// enumeration (inEdgesScaled) must agree with the kernels — every
+// enumeration (InEdges) must agree with the kernels — every
 // critical-path edge binds exactly, and the path reaches the last
 // commit.
 func TestScaledCriticalPathBinds(t *testing.T) {
@@ -339,8 +340,7 @@ func graphWindows(g *Graph, block, carry int) []*Window {
 
 // TestScaledWindowedMatchesWholeGraph: the windowed fold over scaled
 // lanes must be bit-identical to the whole-graph scaled walk at every
-// grid point, including mixed binary/scaled lane sets (which all run
-// through feedScaled once any lane is scaled).
+// grid point, including mixed binary/scaled lane sets.
 func TestScaledWindowedMatchesWholeGraph(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		r := rng.New(seed)
@@ -359,9 +359,6 @@ func TestScaledWindowedMatchesWholeGraph(t *testing.T) {
 		we, err := NewWindowEvalIdeals(g.Cfg, lanes)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !we.scaled {
-			t.Fatalf("seed %d: evaluator not scaled", seed)
 		}
 		block := 1 + r.Intn(60)
 		for _, win := range graphWindows(g, block, we.CarryDepth()) {
@@ -389,12 +386,7 @@ func TestWindowEvalIdealsRejectsPerInst(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error for per-instruction lane")
 	}
-	// Binary-only lane sets stay on the binary kernel.
-	we, err := NewWindowEvalIdeals(DefaultConfig(), []Ideal{{Global: IdealDL1}})
-	if err != nil {
+	if _, err := NewWindowEvalIdeals(DefaultConfig(), []Ideal{{Global: IdealDL1}}); err != nil {
 		t.Fatal(err)
-	}
-	if we.scaled {
-		t.Fatal("binary lanes should not route to the scaled kernel")
 	}
 }

@@ -126,7 +126,7 @@ func (e *QueueFullError) Error() string {
 	return fmt.Sprintf("engine: queue full, retry after %s", e.RetryAfter)
 }
 
-// ErrClosed is returned by Query after Close.
+// ErrClosed is returned by Query and SnapshotSession after Close.
 var ErrClosed = errors.New("engine: closed")
 
 // Engine is the concurrent analysis service. Create with New, stop
@@ -138,6 +138,10 @@ type Engine struct {
 	submitMu sync.RWMutex // guards closed + sends on jobs
 	closed   bool
 	workerWG sync.WaitGroup
+	// snapWG counts SnapshotSession encodes in progress: they read
+	// session memory outside the worker pool, so Close waits for them
+	// before releasing pool-backed artifacts.
+	snapWG sync.WaitGroup
 
 	storeMu sync.Mutex
 	store   *sessionStore
@@ -212,9 +216,10 @@ func New(cfg Config) *Engine {
 }
 
 // Close stops accepting queries, lets queued and in-flight queries
-// finish, and waits for the workers to exit. It then releases every
-// built session's pool-backed artifacts — safe because no worker can
-// still be reading them, and responses never alias session memory.
+// finish, and waits for the workers and any SnapshotSession encodes
+// to exit. It then releases every built session's pool-backed
+// artifacts — safe because nothing can still be reading them, and
+// responses never alias session memory.
 func (e *Engine) Close() {
 	e.submitMu.Lock()
 	if e.closed {
@@ -225,6 +230,7 @@ func (e *Engine) Close() {
 	close(e.jobs)
 	e.submitMu.Unlock()
 	e.workerWG.Wait()
+	e.snapWG.Wait()
 	e.storeMu.Lock()
 	sessions := e.store.drain()
 	e.storeMu.Unlock()

@@ -44,3 +44,17 @@ func (e *SnapshotChecksumError) Error() string {
 	return fmt.Sprintf("engine: snapshot checksum mismatch (header %08x, payload %08x): corrupt bytes",
 		e.Want, e.Got)
 }
+
+// SnapshotCorruptError reports a snapshot whose checksum holds but
+// whose payload does not decode to a session the walks can trust: a
+// field out of range, a producer or leader reference that does not
+// point strictly backward, or a graph whose unidealized critical path
+// disagrees with the recorded cycle count. Like a checksum failure it
+// is the bytes' fault, never the server's.
+type SnapshotCorruptError struct {
+	Err error
+}
+
+func (e *SnapshotCorruptError) Error() string { return e.Err.Error() }
+
+func (e *SnapshotCorruptError) Unwrap() error { return e.Err }

@@ -163,7 +163,8 @@ func (s *session) instCount() int {
 // release returns the session's pool-backed artifacts — trace backing
 // array, graph arena, node-time scratch — so the next cold build
 // reuses them instead of reallocating. Only called once no reader can
-// still hold the session (engine Close, after the workers exit);
+// still hold the session (engine Close, after the workers and
+// snapshot encodes exit);
 // evicted sessions are never released, since an in-flight query may
 // still be reading them, and simply fall to the garbage collector.
 func (s *session) release() {

@@ -76,7 +76,16 @@ const maxSnapPayload = 1 << 30
 // SnapshotSession encodes the built session identified by key into w.
 // The session stays live — encoding only reads the graph, which is
 // immutable after build, so snapshots can be taken while queries run.
+// Close waits for an encode in progress before releasing the graph.
 func (e *Engine) SnapshotSession(ctx context.Context, key string, w io.Writer) error {
+	e.submitMu.RLock()
+	if e.closed {
+		e.submitMu.RUnlock()
+		return ErrClosed
+	}
+	e.snapWG.Add(1)
+	e.submitMu.RUnlock()
+	defer e.snapWG.Done()
 	s := e.sessionByKey(key)
 	if s == nil {
 		return fmt.Errorf("engine: no built session %q to snapshot", key)
@@ -247,9 +256,22 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 	if want, got := binary.LittleEndian.Uint32(crcb[:]), crc32.Checksum(payload, snapCRC); got != want {
 		return nil, &SnapshotChecksumError{Want: want, Got: got}
 	}
+	s, err := decodeSnapshot(version, payload)
+	if err != nil {
+		return nil, &SnapshotCorruptError{Err: err}
+	}
+	return s, nil
+}
 
+// decodeSnapshot decodes a checksum-verified payload. Beyond the
+// field bounds it enforces the invariants every walk assumes: each
+// producer and leader reference points strictly backward, and the
+// unidealized critical path equals the recorded cycle count (windowed
+// payloads check their base lane the same way).
+func decodeSnapshot(version byte, payload []byte) (*session, error) {
 	br := bufio.NewReader(bytes.NewReader(payload))
 	var sp SessionSpec
+	var err error
 	if sp.Bench, err = getSnapString(br); err != nil {
 		return nil, err
 	}
@@ -359,8 +381,11 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 			return nil, err
 		}
 		g.CCLat[i] = int32(lat)
+		// A reference is stored +1 and must name an earlier
+		// instruction: a forward or self reference would make the
+		// walks read a node time not yet computed.
 		for _, dst := range []*[]int32{&g.Prod1, &g.Prod2, &g.PPLeader} {
-			v, err := getSnapUv(br, uint64(n))
+			v, err := getSnapUv(br, uint64(i))
 			if err != nil {
 				return nil, err
 			}
@@ -369,6 +394,9 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("engine: snapshot has trailing payload bytes")
+	}
+	if got := g.ExecTime(depgraph.Ideal{}); got != int64(cycles) {
+		return nil, fmt.Errorf("engine: snapshot graph replays to %d cycles, recorded %d", got, cycles)
 	}
 
 	return &session{

@@ -5,11 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
+	"icost/internal/depgraph"
 	"icost/internal/faultinject"
+	"icost/internal/ooo"
 )
 
 // snapshotQueryMix is the full query surface a restored session must
@@ -360,5 +365,124 @@ func TestChaosSnapshotFaults(t *testing.T) {
 	}
 	if n, err := e2.LoadSnapshots(ctx, dir); err != nil || n != 1 {
 		t.Fatalf("post-chaos load: %d, %v", n, err)
+	}
+}
+
+// TestSnapshotRejectsStructuralCorruption: a checksum-valid snapshot
+// must still decode to a graph the walks can trust. A consumer naming
+// a later (or its own) producer would make every walk read a node time
+// not yet computed — on pooled scratch a stale value from an earlier
+// query — and a graph that does not replay to its recorded cycles
+// cannot answer for the session. Each is refused with a typed
+// corruption error and installs nothing.
+func TestSnapshotRejectsStructuralCorruption(t *testing.T) {
+	ctx := context.Background()
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	key, err := e.Warm(ctx, SessionSpec{Bench: "gzip", TraceLen: 3000, Warmup: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.sessionByKey(key)
+	g := s.result.Graph
+
+	// frame encodes a copy of the session's graph, edited by mutate,
+	// under the given recorded cycle count; the CRC is computed over
+	// the edited payload, so only the structural checks can object.
+	frame := func(cycles int64, mutate func(*depgraph.Graph)) []byte {
+		t.Helper()
+		c := depgraph.New(g.Cfg, g.Len())
+		copy(c.Info, g.Info)
+		copy(c.DDBreak, g.DDBreak)
+		copy(c.RELat, g.RELat)
+		copy(c.CCLat, g.CCLat)
+		copy(c.Prod1, g.Prod1)
+		copy(c.Prod2, g.Prod2)
+		copy(c.PPLeader, g.PPLeader)
+		mutate(c)
+		var buf bytes.Buffer
+		bad := &session{spec: s.spec, built: s.built, result: &ooo.Result{Cycles: cycles, Graph: c}}
+		if err := writeSnapshot(ctx, &buf, bad); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cases := []struct {
+		name string
+		raw  []byte
+	}{
+		{"forward producer", frame(s.result.Cycles, func(c *depgraph.Graph) { c.Prod1[100] = 200 })},
+		{"forward leader", frame(s.result.Cycles, func(c *depgraph.Graph) { c.PPLeader[0] = 1 })},
+		{"self producer", frame(s.result.Cycles, func(c *depgraph.Graph) { c.Prod2[50] = 50 })},
+		{"cycles mismatch", frame(s.result.Cycles+1, func(*depgraph.Graph) {})},
+	}
+	// The unedited frame restores, so each rejection below is the
+	// edit's doing.
+	ok := New(Config{Workers: 1})
+	defer ok.Close()
+	if _, err := ok.RestoreSession(ctx, bytes.NewReader(frame(s.result.Cycles, func(*depgraph.Graph) {}))); err != nil {
+		t.Fatalf("unedited frame: %v", err)
+	}
+	for _, c := range cases {
+		e2 := New(Config{Workers: 1})
+		_, err := e2.RestoreSession(ctx, bytes.NewReader(c.raw))
+		var scor *SnapshotCorruptError
+		if !errors.As(err, &scor) {
+			t.Errorf("%s: got %T (%v), want *SnapshotCorruptError", c.name, err, err)
+		}
+		if m := e2.Metrics(); m.SessionsLive != 0 {
+			t.Errorf("%s: corrupt snapshot left %d live sessions", c.name, m.SessionsLive)
+		}
+		e2.Close()
+	}
+}
+
+// gateWriter blocks its first Write until release is closed, holding
+// a SnapshotSession mid-call.
+type gateWriter struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (w *gateWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.entered)
+		<-w.release
+	})
+	return len(p), nil
+}
+
+// TestCloseWaitsForSnapshot: SnapshotSession reads pool-backed session
+// memory outside the worker pool, so Close must not release it while
+// an encode is in progress, and refuses new encodes afterwards.
+func TestCloseWaitsForSnapshot(t *testing.T) {
+	ctx := context.Background()
+	e := New(Config{Workers: 1})
+	key, err := e.Warm(ctx, SessionSpec{Bench: "gzip", TraceLen: 3000, Warmup: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &gateWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	snapErr := make(chan error, 1)
+	go func() { snapErr <- e.SnapshotSession(ctx, key, w) }()
+	<-w.entered
+
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a snapshot encode was in progress")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(w.release)
+	if err := <-snapErr; err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	<-closed
+	if err := e.SnapshotSession(ctx, key, io.Discard); !errors.Is(err, ErrClosed) {
+		t.Fatalf("snapshot after Close: %v, want ErrClosed", err)
 	}
 }

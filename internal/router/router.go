@@ -537,8 +537,8 @@ func (rt *Router) pullSnapshot(ctx context.Context, backend, sessKey string) ([]
 
 // pushSnapshot installs a pulled snapshot on a replica shard. The
 // faultinject hook fires before the wire; 426 (codec version ahead of
-// the replica's build) is terminal for this push, 422 (checksum) means
-// the bytes were damaged in transit.
+// the replica's build) is terminal for this push, 422 (checksum or
+// structural check) means the bytes were damaged in transit.
 func (rt *Router) pushSnapshot(ctx context.Context, backend string, snap []byte) error {
 	if err := faultinject.Hit(ctx, faultinject.RouterReplicate); err != nil {
 		return err
