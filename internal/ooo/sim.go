@@ -281,6 +281,11 @@ func (m *machine) step(sin *isa.Inst, din *trace.DynInst) {
 		m.takenInCycle++
 	}
 	times.D[mi] = d
+	// Dispatch times are monotone and every issue or store-commit
+	// booking below lies at or after this one, so the FU schedules
+	// may forget earlier cycles.
+	m.pool.Advance(d)
+	m.storePorts.Advance(d)
 
 	// --- R node: operands ready ---
 	// Producer reads are horizon-guarded: a producer more than a full

@@ -9,34 +9,14 @@ import (
 	"icost/internal/workload"
 )
 
-// fullTimes is the whole-graph reference: monolithic trace build,
-// monolithic simulation, batched evaluation.
+// fullTimes is the whole-graph reference for binary lanes.
 func fullTimes(tb testing.TB, req Request, lanes []depgraph.Flags) ([]int64, *ooo.Result) {
 	tb.Helper()
-	w, err := workload.Cached(req.Bench, req.Seed)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tr, err := w.Execute(req.Warmup+req.TraceLen, req.Seed+1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	res, err := ooo.Simulate(tr, req.Sim, ooo.Options{KeepGraph: true, Warmup: req.Warmup})
-	if err != nil {
-		tb.Fatal(err)
-	}
 	ids := make([]depgraph.Ideal, len(lanes))
 	for k, f := range lanes {
 		ids[k] = depgraph.Ideal{Global: f}
 	}
-	times, err := res.Graph.EvalBatch(context.Background(), ids)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	depgraph.ReleaseTimes(res.Times)
-	res.Graph.Release()
-	res.Times, res.Graph = nil, nil
-	return times, res
+	return fullTimesIdeals(tb, req, ids)
 }
 
 // TestAnalyzeMatchesWholeGraph checks the package-level pipeline —
@@ -78,9 +58,11 @@ func TestAnalyzeMatchesWholeGraph(t *testing.T) {
 	}
 }
 
-// fullTimesIdeals is fullTimes for parametric lanes: one monolithic
-// build and one batched evaluation of the exact Ideal set.
-func fullTimesIdeals(tb testing.TB, req Request, ids []depgraph.Ideal) []int64 {
+// fullTimesIdeals is the whole-graph reference: monolithic trace
+// build, monolithic simulation, and one batched evaluation of the
+// exact Ideal set — EvalBatch's lane walk, a kernel independent of
+// the windowed fold.
+func fullTimesIdeals(tb testing.TB, req Request, ids []depgraph.Ideal) ([]int64, *ooo.Result) {
 	tb.Helper()
 	w, err := workload.Cached(req.Bench, req.Seed)
 	if err != nil {
@@ -100,7 +82,8 @@ func fullTimesIdeals(tb testing.TB, req Request, ids []depgraph.Ideal) []int64 {
 	}
 	depgraph.ReleaseTimes(res.Times)
 	res.Graph.Release()
-	return times
+	res.Times, res.Graph = nil, nil
+	return times, res
 }
 
 // TestAnalyzeIdealsParametricMatchesWholeGraph is the windowed-fold
@@ -137,7 +120,7 @@ func TestAnalyzeIdealsParametricMatchesWholeGraph(t *testing.T) {
 			a := depgraph.Alpha(next() % (uint64(depgraph.AlphaOne) + 1))
 			ids = append(ids, depgraph.Ideal{Global: f, Scale: depgraph.ScaleUniform(f, a)})
 		}
-		want := fullTimesIdeals(t, req, ids)
+		want, _ := fullTimesIdeals(t, req, ids)
 		res, err := AnalyzeIdeals(context.Background(), req, ids)
 		if err != nil {
 			t.Fatal(err)
@@ -150,6 +133,58 @@ func TestAnalyzeIdealsParametricMatchesWholeGraph(t *testing.T) {
 		}
 		if res.Times[0] != res.Cycles {
 			t.Fatalf("trial %d: base lane %d != simulated %d", trial, res.Times[0], res.Cycles)
+		}
+	}
+}
+
+// TestWideFoldMatchesEvalBatch folds the service's widest lane sets
+// — all 256 idealization subsets (the breakdown table) plus 64
+// mixed-α lanes that scale every category, win, bw and dmiss included
+// — over streams cut into many windows, and checks every lane against
+// the whole-graph batched walk.
+func TestWideFoldMatchesEvalBatch(t *testing.T) {
+	ids := make([]depgraph.Ideal, 0, 256+64)
+	for k := 0; k < 1<<depgraph.NumFlags; k++ {
+		ids = append(ids, depgraph.Ideal{Global: depgraph.Flags(k)})
+	}
+	rng := uint64(0x2545f4914f6cdd1d)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	for k := 0; k < 64; k++ {
+		var s depgraph.ScaleVec
+		for b := range s {
+			s[b] = depgraph.Alpha(next() % (uint64(depgraph.AlphaOne) + 1))
+		}
+		f := depgraph.Flags(next()) & depgraph.AllFlags
+		if k < 8 {
+			f |= depgraph.IdealWindow | depgraph.IdealBW | depgraph.IdealDMiss
+		}
+		ids = append(ids, depgraph.Ideal{Global: f, Scale: s})
+	}
+	for _, req := range []Request{
+		{Bench: "mcf", Seed: 2, TraceLen: 9000, Warmup: 500, WindowInsts: 300, Sim: ooo.DefaultConfig()},
+		{Bench: "gcc", Seed: 4, TraceLen: 9000, Warmup: 500, WindowInsts: 1000, Sim: ooo.DefaultConfig()},
+	} {
+		want, full := fullTimesIdeals(t, req, ids)
+		res, err := AnalyzeIdeals(context.Background(), req, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Windows < 9 {
+			t.Fatalf("%s: only %d windows", req.Bench, res.Windows)
+		}
+		if res.Cycles != full.Cycles {
+			t.Fatalf("%s: cycles windowed %d, whole-graph %d", req.Bench, res.Cycles, full.Cycles)
+		}
+		for k := range ids {
+			if res.Times[k] != want[k] {
+				t.Fatalf("%s lane %d (flags %v scale %v): windowed %d, whole-graph %d",
+					req.Bench, k, ids[k].Global, ids[k].Scale, res.Times[k], want[k])
+			}
 		}
 	}
 }
@@ -174,7 +209,7 @@ func TestWindowSmallerThanCarryDepth(t *testing.T) {
 		{Global: depgraph.IdealDMiss},
 		{Global: depgraph.IdealWindow, Scale: depgraph.ScaleUniform(depgraph.IdealWindow, depgraph.AlphaOf(0.5))},
 	}
-	want := fullTimesIdeals(t, req, ids)
+	want, _ := fullTimesIdeals(t, req, ids)
 	res, err := AnalyzeIdeals(context.Background(), req, ids)
 	if err != nil {
 		t.Fatal(err)
