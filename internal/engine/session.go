@@ -48,6 +48,11 @@ type SessionSpec struct {
 	WindowInsts int `json:"window_insts,omitempty"`
 }
 
+// maxSpecLatency bounds a spec's dl1_latency, wakeup_extra and
+// branch_recovery: far past any machine the paper studies, and far
+// below where cycle counts approach overflow.
+const maxSpecLatency = 1 << 12
+
 // normalize fills defaults and validates the spec.
 func (s SessionSpec) normalize() (SessionSpec, error) {
 	if s.Bench == "" {
@@ -86,6 +91,9 @@ func (s SessionSpec) normalize() (SessionSpec, error) {
 	}
 	if s.DL1Latency < 0 || s.Window < 1 || s.WakeupExtra < 0 || s.BranchRecovery < 0 {
 		return s, errValidation("engine: bad machine parameters in %+v", s)
+	}
+	if max(s.DL1Latency, s.WakeupExtra, s.BranchRecovery) > maxSpecLatency {
+		return s, errValidation("engine: machine latencies above %d cycles in %+v", maxSpecLatency, s)
 	}
 	if s.WindowInsts < 0 {
 		return s, errValidation("engine: bad window_insts %d", s.WindowInsts)

@@ -118,6 +118,19 @@ func TestWindowedSpecValidation(t *testing.T) {
 	if _, err := e.Warm(ctx, edge); !errors.As(err, &ve) {
 		t.Fatalf("windowed wakeup_extra=100: got %v", err)
 	}
+	// Machine latencies are bounded above, whole-graph or windowed.
+	for _, huge := range []SessionSpec{
+		{Bench: "gcc", TraceLen: 500, DL1Latency: 1 << 30},
+		{Bench: "gcc", TraceLen: 500, BranchRecovery: maxSpecLatency + 1},
+		{Bench: "gcc", TraceLen: 500, WakeupExtra: 1 << 30, WindowInsts: 64},
+	} {
+		if _, err := e.Warm(ctx, huge); !errors.As(err, &ve) {
+			t.Fatalf("%+v: got %v, want validation error", huge, err)
+		}
+	}
+	if _, err := e.Warm(ctx, SessionSpec{Bench: "gcc", TraceLen: 500, DL1Latency: maxSpecLatency}); err != nil {
+		t.Fatalf("dl1_latency at the bound: %v", err)
+	}
 	// window_insts is part of session identity.
 	a := SessionSpec{Bench: "gcc", TraceLen: 500}
 	b := a

@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"runtime"
 	"testing"
 
 	"icost/internal/cache"
@@ -361,5 +362,31 @@ func TestAliasLoadsProduceForwards(t *testing.T) {
 	}
 	if res.Stats.StoreForwards == 0 {
 		t.Fatal("no store-to-load dependences on perl (AliasFrac > 0)")
+	}
+}
+
+func TestHugeLatencyAllocatesByInstructions(t *testing.T) {
+	// A billion-cycle L1 hit latency pushes every FU booking a billion
+	// cycles past dispatch. The FU schedules must hold the bookings,
+	// not the cycle span, so the run allocates about what a normal
+	// one does.
+	tr, err := workload.Load("mcf", 1, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := func(cfg Config) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Simulate(tr, cfg, Options{Warmup: 1000}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	base := alloc(DefaultConfig())
+	huge := alloc(DefaultConfig().WithDL1Latency(1 << 30))
+	t.Logf("allocated %d bytes at dl1 latency 2^30, %d on the default machine", huge, base)
+	if huge > 4*base+(8<<20) {
+		t.Fatalf("dl1 latency 2^30 allocated %d bytes, default machine %d", huge, base)
 	}
 }
