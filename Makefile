@@ -127,6 +127,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run='^$$' -fuzz=FuzzReadSamples -fuzztime=$(FUZZTIME) ./internal/profiler/
 	$(GO) test -run='^$$' -fuzz=FuzzWindowFold -fuzztime=$(FUZZTIME) ./internal/window/
+	$(GO) test -run='^$$' -fuzz=FuzzRestoreSession -fuzztime=$(FUZZTIME) ./internal/engine/
+	$(GO) test -run='^$$' -fuzz=FuzzReadStream -fuzztime=$(FUZZTIME) ./internal/fleet/
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

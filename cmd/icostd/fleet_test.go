@@ -23,6 +23,7 @@ import (
 	"icost/internal/leakcheck"
 	"icost/internal/ooo"
 	"icost/internal/profiler"
+	"icost/internal/wire"
 	"icost/internal/workload"
 )
 
@@ -216,6 +217,60 @@ func TestIngestErrors(t *testing.T) {
 	if resp, out := postIngest(t, srv, bad); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown binary: status %d (%v)", resp.StatusCode, out)
 	}
+
+	// Well-framed streams whose batch payload does not decode are the
+	// sender's fault too.
+	for name, payload := range map[string][]byte{
+		"invalid opcode":       samplePayload(1, 250),
+		"no signature samples": samplePayload(0, -1),
+	} {
+		if resp, out := postIngest(t, srv, framedStream(payload)); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%v)", name, resp.StatusCode, out)
+		}
+	}
+}
+
+// samplePayload hand-builds an ICSP batch with sigs one-bit signature
+// samples and, when op >= 0, one detail record carrying opcode op.
+func samplePayload(sigs int, op int) []byte {
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	w.WriteString("ICSP\x01")
+	w.Uvarint(16) // insts
+	w.Uvarint(uint64(sigs))
+	for i := 0; i < sigs; i++ {
+		w.U64(0x10000000)
+		w.Uvarint(1)
+		w.WriteByte(0)
+	}
+	if op < 0 {
+		w.Uvarint(0)
+	} else {
+		w.Uvarint(1)
+		w.U64(0x10000004)
+		w.WriteByte(byte(op))
+	}
+	w.Flush()
+	return buf.Bytes()
+}
+
+// framedStream wraps one raw batch payload in a well-formed ICFS
+// stream, so only the payload itself can be at fault.
+func framedStream(payload []byte) []byte {
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	w.WriteString("ICFS\x01")
+	w.String("gzip")
+	w.Uvarint(42)
+	w.String("prod")
+	w.String("h")
+	w.WriteByte('B')
+	w.Uvarint(uint64(len(payload)))
+	w.Write(payload)
+	w.WriteByte('E')
+	w.Uvarint(1)
+	w.Flush()
+	return buf.Bytes()
 }
 
 // TestIngestConcurrentHosts drives 50 concurrent hosts through the

@@ -18,17 +18,17 @@
 //     copy has gone stale.
 //
 // Error mapping is part of the contract: typed backpressure is 429 +
-// Retry-After, client mistakes are 400, a missing aggregate 404, a
-// stale-codec snapshot 426, a corrupt snapshot payload 422, deadline
-// expiry 504, disconnects 499 — so the router (and any load balancer)
-// can classify failures without parsing error prose.
+// Retry-After, client mistakes and malformed ingest streams are 400, a
+// missing aggregate 404, bytes in a newer codec version 426, a corrupt
+// or truncated snapshot 422, deadline expiry 504, disconnects 499 — so
+// the router (and any load balancer) can classify failures without
+// parsing error prose.
 package daemon
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -38,6 +38,7 @@ import (
 	"icost/internal/faultinject"
 	"icost/internal/fleet"
 	"icost/internal/profiler"
+	"icost/internal/wire"
 )
 
 // Options configures the optional parts of the handler surface.
@@ -148,9 +149,12 @@ func NewHandler(e *engine.Engine, agg *fleet.Aggregator, opts Options) http.Hand
 		if err != nil {
 			// Batches merged before the failure stay merged — lossy
 			// collection is the fleet contract — but the response is an
-			// error so the host knows its stream did not land whole. A
-			// truncated upload is the sender's problem, not the server's.
-			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+			// error so the host knows its stream did not land whole.
+			// Malformed, truncated or newer-format bytes are the
+			// sender's problem, not the server's.
+			var bad *wire.CorruptError
+			var ver *wire.VersionError
+			if errors.As(err, &bad) || errors.As(err, &ver) {
 				Error(w, http.StatusBadRequest, err.Error())
 				return
 			}
@@ -238,21 +242,21 @@ func NewHandler(e *engine.Engine, agg *fleet.Aggregator, opts Options) http.Hand
 // WriteQueryError maps engine and fleet errors onto HTTP semantics:
 // typed backpressure becomes 429 + Retry-After, deadline expiry 504,
 // client disconnect 499 (nginx convention), closed engine 503,
-// malformed queries and ingest streams (the typed validation errors)
-// 400, a fleet query against an absent aggregate 404, a snapshot
-// pushed in a codec version this build cannot decode 426, a snapshot
-// whose payload fails its checksum or its structural checks 422, and
-// any unclassified failure
-// — a broken build, an internal fault — 500, so server-side trouble
-// is never misreported as the client's.
+// malformed queries and stream headers (the typed validation errors)
+// 400, a fleet query against an absent aggregate 404, bytes in a
+// codec version this build cannot decode 426, bytes that fail their
+// checksum or their structural checks 422 (/ingest answers bad bytes
+// 400 itself), and any unclassified failure — a broken build, an internal
+// fault — 500, so server-side trouble is never misreported as the
+// client's.
 func WriteQueryError(w http.ResponseWriter, err error) {
 	var full *engine.QueueFullError
 	var bad *engine.ValidationError
 	var fbad *fleet.ValidationError
 	var fmiss *fleet.NotFoundError
-	var sver *engine.SnapshotVersionError
-	var scrc *engine.SnapshotChecksumError
-	var scor *engine.SnapshotCorruptError
+	var sver *wire.VersionError
+	var scrc *wire.ChecksumError
+	var scor *wire.CorruptError
 	switch {
 	case errors.As(err, &full):
 		secs := int(full.RetryAfter.Seconds() + 0.5)

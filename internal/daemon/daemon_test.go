@@ -150,6 +150,13 @@ func TestRestoreErrorStatuses(t *testing.T) {
 		t.Fatalf("CRC-valid forward reference: status %d, want 422", got)
 	}
 
+	if got := push([]byte("this is not a snapshot")); got != http.StatusUnprocessableEntity {
+		t.Fatalf("garbage body: status %d, want 422", got)
+	}
+	if got := push(good[:len(good)/2]); got != http.StatusUnprocessableEntity {
+		t.Fatalf("truncated frame: status %d, want 422", got)
+	}
+
 	if m := e2.Metrics(); m.SessionsLive != 0 {
 		t.Fatalf("rejected snapshots left %d live sessions", m.SessionsLive)
 	}

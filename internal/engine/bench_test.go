@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -67,5 +68,30 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			})
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 		})
+	}
+}
+
+// BenchmarkRestoreSession measures the /restore decode path: one
+// 30k-instruction whole-graph snapshot checksummed, decoded and
+// replayed against its recorded cycles, without installing it.
+func BenchmarkRestoreSession(b *testing.B) {
+	ctx := context.Background()
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	key, err := e.Warm(ctx, SessionSpec{Bench: "gzip"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := e.SnapshotSession(ctx, key, &snap); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(snap.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := readSnapshot(ctx, bytes.NewReader(snap.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

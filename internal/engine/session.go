@@ -53,6 +53,12 @@ type SessionSpec struct {
 // below where cycle counts approach overflow.
 const maxSpecLatency = 1 << 12
 
+// maxSpecWindow bounds a spec's window: 16x Table 6's 64 entries and
+// 4x the largest window Figure 3 sweeps. A windowed session's fold
+// rings grow with window x WindowIdealFactor x lanes, so an unbounded
+// window would let one request exhaust memory.
+const maxSpecWindow = 1 << 10
+
 // normalize fills defaults and validates the spec.
 func (s SessionSpec) normalize() (SessionSpec, error) {
 	if s.Bench == "" {
@@ -94,6 +100,9 @@ func (s SessionSpec) normalize() (SessionSpec, error) {
 	}
 	if max(s.DL1Latency, s.WakeupExtra, s.BranchRecovery) > maxSpecLatency {
 		return s, errValidation("engine: machine latencies above %d cycles in %+v", maxSpecLatency, s)
+	}
+	if s.Window > maxSpecWindow {
+		return s, errValidation("engine: window %d above %d entries", s.Window, maxSpecWindow)
 	}
 	if s.WindowInsts < 0 {
 		return s, errValidation("engine: bad window_insts %d", s.WindowInsts)

@@ -1,12 +1,9 @@
 package engine
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -18,6 +15,7 @@ import (
 	"icost/internal/faultinject"
 	"icost/internal/isa"
 	"icost/internal/ooo"
+	"icost/internal/wire"
 )
 
 // Durable session snapshots. A built session is expensive — trace
@@ -67,8 +65,6 @@ const (
 	snapKindWindowed = 1
 )
 
-var snapCRC = crc32.MakeTable(crc32.Castagnoli)
-
 // maxSnapPayload bounds a snapshot payload (a 30k-instruction session
 // encodes to well under 1 MiB; 1 GiB is a generous corruption guard).
 const maxSnapPayload = 1 << 30
@@ -115,101 +111,81 @@ func writeSnapshot(ctx context.Context, w io.Writer, s *session) error {
 		return err
 	}
 	var payload bytes.Buffer
-	bw := bufio.NewWriter(&payload)
+	bw := wire.NewWriter(&payload)
 
 	sp := s.spec
-	putSnapString(bw, sp.Bench)
-	putSnapUv(bw, sp.Seed)
-	putSnapUv(bw, uint64(sp.TraceLen))
-	putSnapUv(bw, uint64(sp.Warmup))
-	putSnapUv(bw, uint64(sp.DL1Latency))
-	putSnapUv(bw, uint64(sp.Window))
-	putSnapUv(bw, uint64(sp.WakeupExtra))
-	putSnapUv(bw, uint64(sp.BranchRecovery))
-	putSnapUv(bw, uint64(sp.WindowInsts))
-	putSnapUv(bw, uint64(s.built))
-	putSnapUv(bw, uint64(s.result.Cycles))
+	bw.String(sp.Bench)
+	bw.Uvarint(sp.Seed)
+	for _, f := range snapSpecFields(&sp) {
+		bw.Uvarint(uint64(*f))
+	}
+	bw.Uvarint(uint64(s.built))
+	bw.Uvarint(uint64(s.result.Cycles))
 
 	if s.windowed {
 		bw.WriteByte(snapKindWindowed)
-		putSnapUv(bw, uint64(s.insts))
-		putSnapUv(bw, uint64(s.windows))
-		putSnapUv(bw, uint64(s.peakBytes))
-		putSnapUv(bw, uint64(len(s.table)))
+		bw.Uvarint(uint64(s.insts))
+		bw.Uvarint(uint64(s.windows))
+		bw.Uvarint(uint64(s.peakBytes))
+		bw.Uvarint(uint64(len(s.table)))
 		for _, t := range s.table {
-			putSnapUv(bw, uint64(t))
+			bw.Uvarint(uint64(t))
 		}
-		if err := bw.Flush(); err != nil {
-			return err
+	} else {
+		bw.WriteByte(snapKindGraph)
+		g := s.result.Graph
+		n := g.Len()
+		bw.Uvarint(uint64(n))
+		cfg := g.Cfg
+		for _, f := range snapCfgFields(&cfg) {
+			bw.Uvarint(uint64(*f))
 		}
-		return writeSnapFrame(w, payload.Bytes())
-	}
-	bw.WriteByte(snapKindGraph)
-
-	g := s.result.Graph
-	n := g.Len()
-	putSnapUv(bw, uint64(n))
-	for _, v := range snapCfgFields(g.Cfg) {
-		putSnapUv(bw, uint64(v))
-	}
-	for i := 0; i < n; i++ {
-		info := &g.Info[i]
-		bw.WriteByte(byte(info.Op))
-		putSnapUv(bw, uint64(info.SIdx+1))
-		var flags byte
-		if info.Mispredict {
-			flags |= 1
+		for i := 0; i < n; i++ {
+			info := &g.Info[i]
+			bw.WriteByte(byte(info.Op))
+			bw.Uvarint(uint64(info.SIdx + 1))
+			bw.Flags(info.Mispredict, info.DTLBMiss, info.ITLBMiss)
+			bw.WriteByte(byte(info.DataLevel))
+			bw.WriteByte(byte(info.ILevel))
+			bw.WriteByte(g.DDBreak[i])
+			bw.Uvarint(uint64(g.RELat[i]))
+			bw.Uvarint(uint64(g.CCLat[i]))
+			bw.Uvarint(uint64(g.Prod1[i] + 1))
+			bw.Uvarint(uint64(g.Prod2[i] + 1))
+			bw.Uvarint(uint64(g.PPLeader[i] + 1))
 		}
-		if info.DTLBMiss {
-			flags |= 2
-		}
-		if info.ITLBMiss {
-			flags |= 4
-		}
-		bw.WriteByte(flags)
-		bw.WriteByte(byte(info.DataLevel))
-		bw.WriteByte(byte(info.ILevel))
-		bw.WriteByte(g.DDBreak[i])
-		putSnapUv(bw, uint64(g.RELat[i]))
-		putSnapUv(bw, uint64(g.CCLat[i]))
-		putSnapUv(bw, uint64(g.Prod1[i]+1))
-		putSnapUv(bw, uint64(g.Prod2[i]+1))
-		putSnapUv(bw, uint64(g.PPLeader[i]+1))
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	return writeSnapFrame(w, payload.Bytes())
-}
-
-// writeSnapFrame wraps a finished payload in the magic + CRC + length
-// framing.
-func writeSnapFrame(w io.Writer, payload []byte) error {
-	out := bufio.NewWriter(w)
+	out := wire.NewWriter(w)
 	out.Write(snapMagic[:])
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc32.Checksum(payload, snapCRC))
-	out.Write(crcb[:])
-	putSnapUv(out, uint64(len(payload)))
-	if _, err := out.Write(payload); err != nil {
-		return err
-	}
+	out.Checksummed(payload.Bytes())
 	return out.Flush()
 }
 
-// snapCfgFields flattens a graph config in canonical field order.
-func snapCfgFields(c depgraph.Config) []int {
-	return []int{
-		c.FetchBW, c.CommitBW, c.Window, c.WindowIdealFactor,
-		c.DispatchToReady, c.CompleteToCommit, c.BranchRecovery, c.WakeupExtra,
-		c.DL1Latency, c.L2Latency, c.MemLatency, c.TLBMissLatency,
+// snapSpecFields lists a spec's integer fields in canonical order;
+// window_insts, last, is absent from version-1 payloads.
+func snapSpecFields(sp *SessionSpec) []*int {
+	return []*int{&sp.TraceLen, &sp.Warmup, &sp.DL1Latency, &sp.Window, &sp.WakeupExtra, &sp.BranchRecovery,
+		&sp.WindowInsts}
+}
+
+// snapCfgFields lists a graph config's fields in canonical order.
+func snapCfgFields(c *depgraph.Config) []*int {
+	return []*int{
+		&c.FetchBW, &c.CommitBW, &c.Window, &c.WindowIdealFactor,
+		&c.DispatchToReady, &c.CompleteToCommit, &c.BranchRecovery, &c.WakeupExtra,
+		&c.DL1Latency, &c.L2Latency, &c.MemLatency, &c.TLBMissLatency,
 	}
 }
 
 // RestoreSession decodes one snapshot from r and installs it in the
 // session store, returning the restored session's key. A session
 // already live (or building) under the same key wins: the snapshot is
-// decoded and discarded, and the live key is returned.
+// decoded and discarded, and the live key is returned. Malformed bytes
+// are a *wire.CorruptError, a damaged payload a *wire.ChecksumError
+// and a newer format a *wire.VersionError.
 func (e *Engine) RestoreSession(ctx context.Context, r io.Reader) (string, error) {
 	s, err := readSnapshot(ctx, r)
 	if err != nil {
@@ -227,242 +203,160 @@ func readSnapshot(ctx context.Context, r io.Reader) (*session, error) {
 	if err := faultinject.Hit(ctx, faultinject.FleetSnapshot); err != nil {
 		return nil, err
 	}
-	hr := bufio.NewReader(r)
-	var magic [5]byte
-	if _, err := io.ReadFull(hr, magic[:]); err != nil {
-		return nil, fmt.Errorf("engine: reading snapshot magic: %w", err)
-	}
-	if [4]byte{magic[0], magic[1], magic[2], magic[3]} != [4]byte{'I', 'C', 'S', 'S'} {
-		return nil, fmt.Errorf("engine: bad snapshot magic %q", magic[:4])
-	}
-	version := magic[4]
+	fr := wire.NewReader(r, "engine")
+	version := fr.Magic("ICSS")
 	switch version {
 	case snapVersion1, snapVersion2:
 	default:
-		return nil, &SnapshotVersionError{Version: version}
+		return nil, fr.Unsupported(version, snapVersionCurrent)
 	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(hr, crcb[:]); err != nil {
-		return nil, fmt.Errorf("engine: reading snapshot checksum: %w", err)
+	payload := fr.Checksummed(maxSnapPayload)
+	if fr.End(); !fr.Ok() {
+		return nil, fr.Err()
 	}
-	plen, err := getSnapUv(hr, maxSnapPayload)
-	if err != nil {
-		return nil, err
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(hr, payload); err != nil {
-		return nil, fmt.Errorf("engine: snapshot truncated: %w", err)
-	}
-	if want, got := binary.LittleEndian.Uint32(crcb[:]), crc32.Checksum(payload, snapCRC); got != want {
-		return nil, &SnapshotChecksumError{Want: want, Got: got}
-	}
-	s, err := decodeSnapshot(version, payload)
-	if err != nil {
-		return nil, &SnapshotCorruptError{Err: err}
-	}
-	return s, nil
+	return decodeSnapshot(version, payload)
 }
 
 // decodeSnapshot decodes a checksum-verified payload. Beyond the
 // field bounds it enforces the invariants every walk assumes: each
 // producer and leader reference points strictly backward, and the
 // unidealized critical path equals the recorded cycle count (windowed
-// payloads check their base lane the same way).
+// payloads check their base lane the same way). The spec must be in
+// the normal form the encoder writes, so an accepted payload is the
+// one encoding of its session.
 func decodeSnapshot(version byte, payload []byte) (*session, error) {
-	br := bufio.NewReader(bytes.NewReader(payload))
+	br := wire.NewReader(bytes.NewReader(payload), "engine")
 	var sp SessionSpec
-	var err error
-	if sp.Bench, err = getSnapString(br); err != nil {
-		return nil, err
+	sp.Bench = br.String(1 << 12)
+	sp.Seed = br.Uvarint(1 << 63)
+	fields := snapSpecFields(&sp)
+	if version < snapVersion2 {
+		fields = fields[:len(fields)-1]
 	}
-	if sp.Seed, err = getSnapUv(br, 1<<63); err != nil {
-		return nil, err
+	for _, f := range fields {
+		*f = int(br.Uvarint(1 << 31))
 	}
-	ints := []*int{&sp.TraceLen, &sp.Warmup, &sp.DL1Latency, &sp.Window, &sp.WakeupExtra, &sp.BranchRecovery}
-	if version >= snapVersion2 {
-		ints = append(ints, &sp.WindowInsts)
-	}
-	for _, dst := range ints {
-		v, err := getSnapUv(br, 1<<31)
-		if err != nil {
-			return nil, err
-		}
-		*dst = int(v)
-	}
-	builtNS, err := getSnapUv(br, 1<<62)
-	if err != nil {
-		return nil, err
-	}
-	cycles, err := getSnapUv(br, 1<<62)
-	if err != nil {
-		return nil, err
-	}
-
-	spec, err := sp.normalize()
-	if err != nil {
-		return nil, fmt.Errorf("engine: snapshot spec: %w", err)
-	}
-	key, _ := spec.Key()
-
+	built := time.Duration(br.Uvarint(1 << 62))
+	cycles := int64(br.Uvarint(1 << 62))
 	kind := byte(snapKindGraph)
 	if version >= snapVersion2 {
-		if kind, err = br.ReadByte(); err != nil {
-			return nil, fmt.Errorf("engine: reading snapshot kind: %w", err)
-		}
+		kind = br.Byte()
 	}
-	if windowed := spec.WindowInsts > 0; windowed != (kind == snapKindWindowed) {
-		return nil, fmt.Errorf("engine: snapshot kind %d disagrees with spec window_insts %d", kind, spec.WindowInsts)
+	if !br.Ok() {
+		return nil, br.Err()
 	}
-	if kind == snapKindWindowed {
-		return readWindowedBody(br, key, spec, time.Duration(builtNS), int64(cycles))
+	spec, err := sp.normalize()
+	switch {
+	case err != nil:
+		return nil, br.Fail("snapshot spec: %v", err)
+	case spec != sp:
+		return nil, br.Fail("snapshot spec %+v is not in normal form", sp)
+	case (spec.WindowInsts > 0) != (kind == snapKindWindowed):
+		return nil, br.Fail("snapshot kind %d disagrees with spec window_insts %d", kind, spec.WindowInsts)
 	}
-	if kind != snapKindGraph {
-		return nil, fmt.Errorf("engine: unknown snapshot kind %d", kind)
+	key, _ := spec.Key()
+	switch kind {
+	case snapKindWindowed:
+		return readWindowedBody(br, key, spec, built, cycles)
+	case snapKindGraph:
+		return readGraphBody(br, len(payload), key, spec, built, cycles)
 	}
+	return nil, br.Fail("unknown snapshot kind %d", kind)
+}
 
-	n64, err := getSnapUv(br, 1<<24)
-	if err != nil {
-		return nil, err
-	}
-	n := int(n64)
-	if n != spec.TraceLen {
-		return nil, fmt.Errorf("engine: snapshot graph has %d instructions, spec says %d", n, spec.TraceLen)
+// readGraphBody decodes a whole-graph (kind 0) body of a
+// payloadLen-byte payload: graph config plus per-instruction records.
+func readGraphBody(br *wire.Reader, payloadLen int, key string, spec SessionSpec, built time.Duration, cycles int64) (*session, error) {
+	// The graph's columns are allocated up front, so the instruction
+	// count is bounded by the records the payload can hold: each takes
+	// at least 11 bytes (six single bytes and five varints).
+	n := int(br.Uvarint(min(1<<24, uint64(payloadLen/11))))
+	if br.Ok() && n != spec.TraceLen {
+		return nil, br.Fail("snapshot graph has %d instructions, spec says %d", n, spec.TraceLen)
 	}
 	var cfg depgraph.Config
-	cfgDst := snapCfgFieldPtrs(&cfg)
-	for _, dst := range cfgDst {
-		v, err := getSnapUv(br, 1<<31)
-		if err != nil {
-			return nil, err
-		}
-		*dst = int(v)
+	for _, f := range snapCfgFields(&cfg) {
+		*f = int(br.Uvarint(1 << 31))
+	}
+	if !br.Ok() {
+		return nil, br.Err()
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("engine: snapshot graph config: %w", err)
+		return nil, br.Fail("snapshot graph config: %v", err)
 	}
-
 	g := depgraph.New(cfg, n)
-	for i := 0; i < n; i++ {
-		var hdr [5]byte
-		if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-			return nil, fmt.Errorf("engine: snapshot truncated at instruction %d: %w", i, err)
+	for i := 0; i < n && br.Ok(); i++ {
+		info := &g.Info[i]
+		if info.Op = isa.Op(br.Byte()); info.Op >= isa.NumOps {
+			return nil, br.Fail("snapshot has invalid opcode %d", info.Op)
 		}
-		if isa.Op(hdr[0]) >= isa.NumOps {
-			return nil, fmt.Errorf("engine: snapshot has invalid opcode %d", hdr[0])
-		}
-		g.Info[i].Op = isa.Op(hdr[0])
-		sidx, err := getSnapUv(br, 1<<31)
-		if err != nil {
-			return nil, err
-		}
-		g.Info[i].SIdx = int32(sidx) - 1
-		if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-			return nil, fmt.Errorf("engine: snapshot truncated at instruction %d: %w", i, err)
-		}
-		flags := hdr[1]
+		// Bound is MaxInt32: a stored 1<<31 would wrap SIdx around.
+		info.SIdx = int32(br.Uvarint(1<<31-1)) - 1
+		flags, data, inst := br.Byte(), br.Byte(), br.Byte()
 		if flags > 7 {
-			return nil, fmt.Errorf("engine: snapshot has invalid flag byte %#x", flags)
+			return nil, br.Fail("snapshot has invalid flag byte %#x", flags)
 		}
-		g.Info[i].Mispredict = flags&1 != 0
-		g.Info[i].DTLBMiss = flags&2 != 0
-		g.Info[i].ITLBMiss = flags&4 != 0
-		if hdr[2] > byte(cache.LevelMem) || hdr[3] > byte(cache.LevelMem) {
-			return nil, fmt.Errorf("engine: snapshot has invalid cache level")
+		if data > byte(cache.LevelMem) || inst > byte(cache.LevelMem) {
+			return nil, br.Fail("snapshot has invalid cache level")
 		}
-		g.Info[i].DataLevel = cache.Level(hdr[2])
-		g.Info[i].ILevel = cache.Level(hdr[3])
-		g.DDBreak[i] = hdr[4]
-		lat, err := getSnapUv(br, 1<<30)
-		if err != nil {
-			return nil, err
-		}
-		g.RELat[i] = int32(lat)
-		if lat, err = getSnapUv(br, 1<<30); err != nil {
-			return nil, err
-		}
-		g.CCLat[i] = int32(lat)
+		info.Mispredict, info.DTLBMiss, info.ITLBMiss = flags&1 != 0, flags&2 != 0, flags&4 != 0
+		info.DataLevel, info.ILevel = cache.Level(data), cache.Level(inst)
+		g.DDBreak[i] = br.Byte()
+		g.RELat[i] = int32(br.Uvarint(1 << 30))
+		g.CCLat[i] = int32(br.Uvarint(1 << 30))
 		// A reference is stored +1 and must name an earlier
 		// instruction: a forward or self reference would make the
 		// walks read a node time not yet computed.
-		for _, dst := range []*[]int32{&g.Prod1, &g.Prod2, &g.PPLeader} {
-			v, err := getSnapUv(br, uint64(i))
-			if err != nil {
-				return nil, err
-			}
-			(*dst)[i] = int32(v) - 1
-		}
+		g.Prod1[i] = int32(br.Uvarint(uint64(i))) - 1
+		g.Prod2[i] = int32(br.Uvarint(uint64(i))) - 1
+		g.PPLeader[i] = int32(br.Uvarint(uint64(i))) - 1
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("engine: snapshot has trailing payload bytes")
+	if br.End(); !br.Ok() {
+		return nil, br.Err()
 	}
-	if got := g.ExecTime(depgraph.Ideal{}); got != int64(cycles) {
-		return nil, fmt.Errorf("engine: snapshot graph replays to %d cycles, recorded %d", got, cycles)
+	if got := g.ExecTime(depgraph.Ideal{}); got != cycles {
+		return nil, br.Fail("snapshot graph replays to %d cycles, recorded %d", got, cycles)
 	}
-
 	return &session{
 		key:      key,
 		spec:     spec,
-		result:   &ooo.Result{Cycles: int64(cycles), Graph: g},
+		result:   &ooo.Result{Cycles: cycles, Graph: g},
 		analyzer: cost.New(g),
-		built:    time.Duration(builtNS),
+		built:    built,
 		pooled:   false, // restored graphs are heap-backed; release is a no-op
 	}, nil
 }
 
-// readWindowedBody decodes a windowed (kind 1) payload body: run
-// shape plus the folded subset table. br must be positioned after the
-// kind byte and end exactly at the table's last entry.
-func readWindowedBody(br *bufio.Reader, key string, spec SessionSpec, built time.Duration, cycles int64) (*session, error) {
-	insts, err := getSnapUv(br, 1<<40)
-	if err != nil {
-		return nil, err
-	}
-	if int64(insts) != int64(spec.TraceLen) {
-		return nil, fmt.Errorf("engine: snapshot folded %d instructions, spec says %d", insts, spec.TraceLen)
-	}
-	windows, err := getSnapUv(br, 1<<40)
-	if err != nil {
-		return nil, err
-	}
-	peakBytes, err := getSnapUv(br, 1<<50)
-	if err != nil {
-		return nil, err
-	}
-	tlen, err := getSnapUv(br, 1<<depgraph.NumFlags)
-	if err != nil {
-		return nil, err
-	}
-	if tlen != 1<<depgraph.NumFlags {
-		return nil, fmt.Errorf("engine: snapshot subset table has %d entries, want %d", tlen, 1<<depgraph.NumFlags)
+// readWindowedBody decodes a windowed (kind 1) body: run shape plus
+// the folded subset table.
+func readWindowedBody(br *wire.Reader, key string, spec SessionSpec, built time.Duration, cycles int64) (*session, error) {
+	insts := int(br.Uvarint(1 << 40))
+	windows := int(br.Uvarint(1 << 40))
+	peakBytes := int64(br.Uvarint(1 << 50))
+	tlen := br.Uvarint(1 << depgraph.NumFlags)
+	switch {
+	case !br.Ok():
+		return nil, br.Err()
+	case insts != spec.TraceLen:
+		return nil, br.Fail("snapshot folded %d instructions, spec says %d", insts, spec.TraceLen)
+	case tlen != 1<<depgraph.NumFlags:
+		return nil, br.Fail("snapshot subset table has %d entries, want %d", tlen, 1<<depgraph.NumFlags)
 	}
 	table := make([]int64, tlen)
 	for i := range table {
-		v, err := getSnapUv(br, 1<<62)
-		if err != nil {
-			return nil, err
-		}
-		table[i] = int64(v)
+		table[i] = int64(br.Uvarint(1 << 62))
+	}
+	if br.End(); !br.Ok() {
+		return nil, br.Err()
 	}
 	// The base lane is the simulated cycle count by the windowed
 	// pipeline's self-check; re-verify so a corrupted-but-CRC-valid
 	// table (or a hand-edited one) cannot answer queries.
 	if table[0] != cycles {
-		return nil, fmt.Errorf("engine: snapshot base lane %d != cycles %d", table[0], cycles)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("engine: snapshot has trailing payload bytes")
+		return nil, br.Fail("snapshot base lane %d != cycles %d", table[0], cycles)
 	}
 	return newWindowedSession(key, spec, table, &ooo.Result{Cycles: cycles},
-		built, int(insts), int(windows), int64(peakBytes)), nil
-}
-
-// snapCfgFieldPtrs mirrors snapCfgFields for decoding.
-func snapCfgFieldPtrs(c *depgraph.Config) []*int {
-	return []*int{
-		&c.FetchBW, &c.CommitBW, &c.Window, &c.WindowIdealFactor,
-		&c.DispatchToReady, &c.CompleteToCommit, &c.BranchRecovery, &c.WakeupExtra,
-		&c.DL1Latency, &c.L2Latency, &c.MemLatency, &c.TLBMissLatency,
-	}
+		built, insts, windows, peakBytes), nil
 }
 
 // installSession publishes a restored session, respecting the store's
@@ -632,38 +526,4 @@ func (e *Engine) loadOne(ctx context.Context, path string) bool {
 	}
 	e.met.snapshotsLoaded.Add(1)
 	return true
-}
-
-func putSnapUv(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func getSnapUv(r *bufio.Reader, max uint64) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("engine: reading snapshot varint: %w", err)
-	}
-	if v > max {
-		return 0, fmt.Errorf("engine: snapshot field %d exceeds bound %d", v, max)
-	}
-	return v, nil
-}
-
-func putSnapString(w *bufio.Writer, s string) {
-	putSnapUv(w, uint64(len(s)))
-	w.WriteString(s)
-}
-
-func getSnapString(r *bufio.Reader) (string, error) {
-	n, err := getSnapUv(r, 1<<12)
-	if err != nil {
-		return "", err
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("engine: reading snapshot string: %w", err)
-	}
-	return string(b), nil
 }

@@ -3,11 +3,13 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"icost/internal/depgraph"
 	"icost/internal/faultinject"
 	"icost/internal/ooo"
+	"icost/internal/wire"
 )
 
 // snapshotQueryMix is the full query surface a restored session must
@@ -268,14 +271,14 @@ func TestSnapshotTypedErrors(t *testing.T) {
 	future := append([]byte(nil), good...)
 	future[4] = 0x7f
 	err = restore(future)
-	var sver *SnapshotVersionError
+	var sver *wire.VersionError
 	if !errors.As(err, &sver) {
-		t.Fatalf("unknown version: got %T (%v), want *SnapshotVersionError", err, err)
+		t.Fatalf("unknown version: got %T (%v), want *wire.VersionError", err, err)
 	}
 	if sver.Version != 0x7f {
 		t.Fatalf("version error reports %d, want 127", sver.Version)
 	}
-	var scrc *SnapshotChecksumError
+	var scrc *wire.ChecksumError
 	if errors.As(err, &scrc) {
 		t.Fatalf("version mismatch misreported as checksum error: %v", err)
 	}
@@ -286,13 +289,31 @@ func TestSnapshotTypedErrors(t *testing.T) {
 	damaged[len(damaged)-1] ^= 0x01
 	err = restore(damaged)
 	if !errors.As(err, &scrc) {
-		t.Fatalf("damaged payload: got %T (%v), want *SnapshotChecksumError", err, err)
+		t.Fatalf("damaged payload: got %T (%v), want *wire.ChecksumError", err, err)
 	}
 	if scrc.Want == scrc.Got {
 		t.Fatalf("checksum error carries equal sums: %+v", scrc)
 	}
 	if errors.As(err, &sver) {
 		t.Fatalf("checksum mismatch misreported as version error: %v", err)
+	}
+}
+
+// TestRestoreBoundedAllocation: a 14-byte frame claiming a payload
+// just under the 1 GiB bound must fail as corrupt having allocated in
+// proportion to the bytes present, never to the claimed length.
+func TestRestoreBoundedAllocation(t *testing.T) {
+	body := append([]byte("ICSS\x02\x00\x00\x00\x00"), binary.AppendUvarint(nil, 1<<30-1)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readSnapshot(context.Background(), bytes.NewReader(body))
+	runtime.ReadMemStats(&after)
+	var scor *wire.CorruptError
+	if !errors.As(err, &scor) {
+		t.Fatalf("short body: got %T (%v), want *wire.CorruptError", err, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("short body claiming 1 GiB allocated %d bytes", got)
 	}
 }
 
@@ -426,9 +447,9 @@ func TestSnapshotRejectsStructuralCorruption(t *testing.T) {
 	for _, c := range cases {
 		e2 := New(Config{Workers: 1})
 		_, err := e2.RestoreSession(ctx, bytes.NewReader(c.raw))
-		var scor *SnapshotCorruptError
+		var scor *wire.CorruptError
 		if !errors.As(err, &scor) {
-			t.Errorf("%s: got %T (%v), want *SnapshotCorruptError", c.name, err, err)
+			t.Errorf("%s: got %T (%v), want *wire.CorruptError", c.name, err, err)
 		}
 		if m := e2.Metrics(); m.SessionsLive != 0 {
 			t.Errorf("%s: corrupt snapshot left %d live sessions", c.name, m.SessionsLive)

@@ -131,6 +131,19 @@ func TestWindowedSpecValidation(t *testing.T) {
 	if _, err := e.Warm(ctx, SessionSpec{Bench: "gcc", TraceLen: 500, DL1Latency: maxSpecLatency}); err != nil {
 		t.Fatalf("dl1_latency at the bound: %v", err)
 	}
+	// So is the window, whose fold rings scale with it.
+	if _, err := e.Warm(ctx, SessionSpec{Bench: "gcc", TraceLen: 500, Window: 1024}); err != nil {
+		t.Fatalf("window at the bound: %v", err)
+	}
+	if _, err := (SessionSpec{Bench: "gcc", TraceLen: 500, Window: 1024, WindowInsts: 64}).normalize(); err != nil {
+		t.Fatalf("windowed window at the bound: %v", err)
+	}
+	for _, wi := range []int{0, 64} {
+		over := SessionSpec{Bench: "gcc", TraceLen: 500, Window: 1025, WindowInsts: wi}
+		if _, err := e.Warm(ctx, over); !errors.As(err, &ve) {
+			t.Fatalf("%+v: got %v, want validation error", over, err)
+		}
+	}
 	// window_insts is part of session identity.
 	a := SessionSpec{Bench: "gcc", TraceLen: 500}
 	b := a

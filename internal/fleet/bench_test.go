@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
+
+	"icost/internal/profiler"
 )
 
 // BenchmarkFleetIngest measures the online merge path: one batch
@@ -78,6 +81,28 @@ func BenchmarkFleetQueryCold(b *testing.B) {
 		}
 		if r.Memoized {
 			b.Fatal("memo should have been wiped")
+		}
+	}
+}
+
+// BenchmarkReadStream measures the /ingest decode path alone: a
+// four-batch stream framed, decoded and checked canonical, no merge.
+func BenchmarkReadStream(b *testing.B) {
+	var buf bytes.Buffer
+	h := Header{Binary: "gzip", Seed: 42, Group: "prod", Host: "h0"}
+	batches := []*profiler.Samples{
+		hostBatch(b, "gzip", 42, 7), hostBatch(b, "gzip", 42, 8),
+		hostBatch(b, "gzip", 42, 9), hostBatch(b, "gzip", 42, 10),
+	}
+	if err := WriteStream(&buf, h, batches); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, n, err := ReadStream(bytes.NewReader(buf.Bytes()), drop); err != nil || n != len(batches) {
+			b.Fatalf("decoded %d batches: %v", n, err)
 		}
 	}
 }

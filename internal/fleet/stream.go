@@ -1,13 +1,12 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 
 	"icost/internal/profiler"
+	"icost/internal/wire"
 )
 
 // Binary ingestion stream: what a host's collection agent ships to
@@ -81,7 +80,7 @@ func (h Header) validate() error {
 
 // StreamWriter frames sample batches onto one ingestion stream.
 type StreamWriter struct {
-	w       *bufio.Writer
+	w       wire.Writer
 	buf     bytes.Buffer
 	batches int
 	closed  bool
@@ -93,14 +92,12 @@ func NewStreamWriter(w io.Writer, h Header) (*StreamWriter, error) {
 	if err := h.validate(); err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(streamMagic[:]); err != nil {
-		return nil, err
-	}
-	writeString(bw, h.Binary)
-	putUvarint(bw, h.Seed)
-	writeString(bw, h.Group)
-	writeString(bw, h.Host)
+	bw := wire.NewWriter(w)
+	bw.Write(streamMagic[:])
+	bw.String(h.Binary)
+	bw.Uvarint(h.Seed)
+	bw.String(h.Group)
+	bw.String(h.Host)
 	return &StreamWriter{w: bw}, nil
 }
 
@@ -117,7 +114,7 @@ func (sw *StreamWriter) WriteBatch(s *profiler.Samples) error {
 		return fmt.Errorf("fleet: batch of %d bytes exceeds %d", sw.buf.Len(), maxBatchLen)
 	}
 	sw.w.WriteByte(recBatch)
-	putUvarint(sw.w, uint64(sw.buf.Len()))
+	sw.w.Uvarint(uint64(sw.buf.Len()))
 	if _, err := sw.w.Write(sw.buf.Bytes()); err != nil {
 		return err
 	}
@@ -132,7 +129,7 @@ func (sw *StreamWriter) Close() error {
 	}
 	sw.closed = true
 	sw.w.WriteByte(recEnd)
-	putUvarint(sw.w, uint64(sw.batches))
+	sw.w.Uvarint(uint64(sw.batches))
 	return sw.w.Flush()
 }
 
@@ -152,15 +149,14 @@ func WriteStream(w io.Writer, h Header, batches []*profiler.Samples) error {
 }
 
 // ReadStream decodes an ingestion stream, invoking fn with the
-// stream's header and each batch as it arrives (streaming — the whole
-// stream is never buffered). It returns the header, the number of
+// stream's header and each batch as it arrives (streaming — one batch
+// frame is held at a time). It returns the header, the number of
 // complete batches delivered, and the first error: a fn error aborts
-// the stream, a truncation after at least one whole batch is reported
+// the stream, malformed bytes are a *wire.CorruptError reported
 // alongside the batches already delivered. The header is valid
-// whenever err is nil or the failure happened after the header
-// parsed.
+// whenever err is nil or the failure happened after the header parsed.
 func ReadStream(r io.Reader, fn func(Header, *profiler.Samples) error) (Header, int, error) {
-	br := bufio.NewReader(r)
+	br := wire.NewReader(r, "fleet")
 	h, err := readHeader(br)
 	if err != nil {
 		return h, 0, err
@@ -168,52 +164,43 @@ func ReadStream(r io.Reader, fn func(Header, *profiler.Samples) error) (Header, 
 
 	n := 0
 	for {
-		rec, err := br.ReadByte()
-		if err != nil {
-			return h, n, fmt.Errorf("fleet: stream truncated after %d batches: %w", n, err)
+		rec := br.Byte()
+		if !br.Ok() {
+			return h, n, br.Err()
 		}
 		switch rec {
 		case recBatch:
-			plen, err := getUvarint(br, maxBatchLen)
-			if err != nil {
-				return h, n, err
+			frame := br.Bytes(br.Uvarint(maxBatchLen))
+			if !br.Ok() {
+				return h, n, br.Err()
 			}
-			lr := io.LimitReader(br, int64(plen))
-			s, err := profiler.ReadSamples(lr)
+			s, err := profiler.ReadSamples(bytes.NewReader(frame))
 			if err != nil {
-				return h, n, fmt.Errorf("fleet: batch %d: %w", n, err)
-			}
-			// Realign to the frame boundary: the decoder's internal
-			// buffering may leave frame bytes unconsumed in lr.
-			if _, err := io.Copy(io.Discard, lr); err != nil {
 				return h, n, fmt.Errorf("fleet: batch %d: %w", n, err)
 			}
 			// A frame must be exactly the canonical encoding of its
-			// batch — a longer frame means slack bytes the decoder
-			// silently ignored (length and payload disagree).
-			var cw countWriter
+			// batch: bytes the decoder skipped (slack past the samples,
+			// unused flag bits, details out of PC order) would let two
+			// different frames stand for the same batch.
+			cw := canonWriter{rest: frame, same: true}
 			if err := profiler.WriteSamples(&cw, s); err != nil {
 				return h, n, fmt.Errorf("fleet: batch %d: %w", n, err)
 			}
-			if cw.n != int64(plen) {
-				return h, n, errValidation("fleet: batch %d: frame is %d bytes, canonical encoding is %d",
-					n, plen, cw.n)
+			if !cw.same || len(cw.rest) > 0 {
+				return h, n, br.Fail("batch %d: frame of %d bytes is not the canonical encoding of its samples", n, len(frame))
 			}
 			if err := fn(h, s); err != nil {
 				return h, n, err
 			}
 			n++
 		case recEnd:
-			want, err := getUvarint(br, 1<<32)
-			if err != nil {
-				return h, n, err
+			if want := br.Uvarint(1 << 32); br.Ok() && want != uint64(n) {
+				return h, n, br.Fail("trailer says %d batches, stream carried %d", want, n)
 			}
-			if int(want) != n {
-				return h, n, errValidation("fleet: trailer says %d batches, stream carried %d", want, n)
-			}
-			return h, n, nil
+			br.End()
+			return h, n, br.Err()
 		default:
-			return h, n, errValidation("fleet: unknown record type %#x", rec)
+			return h, n, br.Fail("unknown record type %#x", rec)
 		}
 	}
 }
@@ -224,37 +211,21 @@ func ReadStream(r io.Reader, fn func(Header, *profiler.Samples) error) (Header, 
 // lives here.
 //
 //lint:codec-decode icfs
-func readHeader(br *bufio.Reader) (Header, error) {
+func readHeader(br *wire.Reader) (Header, error) {
 	var h Header
-	var magic [5]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return h, errValidation("fleet: reading stream magic: %v", err)
-	}
-	if [4]byte{magic[0], magic[1], magic[2], magic[3]} != [4]byte{'I', 'C', 'F', 'S'} {
-		return h, errValidation("fleet: bad stream magic %q", magic[:4])
-	}
-	switch magic[4] {
+	switch v := br.Magic("ICFS"); v {
 	case streamVersion1:
 	default:
-		return h, errValidation("fleet: unsupported stream version %d", magic[4])
+		return h, br.Unsupported(v, streamVersionCurrent)
 	}
-	var err error
-	if h.Binary, err = readString(br); err != nil {
-		return h, err
+	h.Binary = br.String(maxNameLen)
+	h.Seed = br.Uvarint(1 << 63)
+	h.Group = br.String(maxNameLen)
+	h.Host = br.String(maxNameLen)
+	if !br.Ok() {
+		return h, br.Err()
 	}
-	if h.Seed, err = getUvarint(br, 1<<63); err != nil {
-		return h, err
-	}
-	if h.Group, err = readString(br); err != nil {
-		return h, err
-	}
-	if h.Host, err = readString(br); err != nil {
-		return h, err
-	}
-	if err := h.validate(); err != nil {
-		return h, err
-	}
-	return h, nil
+	return h, h.validate()
 }
 
 // PeekHeader decodes just the stream header from r without touching
@@ -263,47 +234,18 @@ func readHeader(br *bufio.Reader) (Header, error) {
 // routing never pays for sample decoding — before forwarding the
 // unconsumed bytes verbatim.
 func PeekHeader(r io.Reader) (Header, error) {
-	return readHeader(bufio.NewReader(r))
+	return readHeader(wire.NewReader(r, "fleet"))
 }
 
-// countWriter measures a canonical re-encoding without keeping it.
-type countWriter struct{ n int64 }
+// canonWriter checks a re-encoding against the frame it must
+// reproduce, without keeping it.
+type canonWriter struct {
+	rest []byte
+	same bool
+}
 
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
+func (c *canonWriter) Write(p []byte) (int, error) {
+	c.same = c.same && bytes.HasPrefix(c.rest, p)
+	c.rest = c.rest[min(len(p), len(c.rest)):]
 	return len(p), nil
-}
-
-func writeString(w *bufio.Writer, s string) {
-	putUvarint(w, uint64(len(s)))
-	w.WriteString(s)
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := getUvarint(r, maxNameLen)
-	if err != nil {
-		return "", err
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("fleet: reading header string: %w", err)
-	}
-	return string(b), nil
-}
-
-func putUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func getUvarint(r *bufio.Reader, max uint64) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("fleet: reading varint: %w", err)
-	}
-	if v > max {
-		return 0, errValidation("fleet: field %d exceeds bound %d", v, max)
-	}
-	return v, nil
 }

@@ -1,12 +1,12 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"testing"
 
 	"icost/internal/profiler"
+	"icost/internal/wire"
 )
 
 func TestStreamRoundTrip(t *testing.T) {
@@ -105,15 +105,23 @@ func TestStreamHeaderValidation(t *testing.T) {
 		}
 		// The read side enforces the same rules on hand-built streams.
 		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
+		bw := wire.NewWriter(&buf)
 		bw.Write(streamMagic[:])
-		writeString(bw, h.Binary)
-		putUvarint(bw, h.Seed)
-		writeString(bw, h.Group)
-		writeString(bw, h.Host)
+		bw.String(h.Binary)
+		bw.Uvarint(h.Seed)
+		bw.String(h.Group)
+		bw.String(h.Host)
 		bw.Flush()
+		_, _, err := ReadStream(&buf, drop)
 		var verr *ValidationError
-		if _, _, err := ReadStream(&buf, drop); !errors.As(err, &verr) {
+		var cerr *wire.CorruptError
+		if len(h.Binary) > maxNameLen {
+			// An over-long string fails its wire length bound before
+			// header validation sees it.
+			if !errors.As(err, &cerr) {
+				t.Errorf("reader accepted bad header %d: err=%v", i, err)
+			}
+		} else if !errors.As(err, &verr) {
 			t.Errorf("reader accepted bad header %d: err=%v", i, err)
 		}
 	}
@@ -123,10 +131,11 @@ func TestStreamHeaderValidation(t *testing.T) {
 func drop(Header, *profiler.Samples) error { return nil }
 
 func TestStreamBadMagic(t *testing.T) {
-	var verr *ValidationError
-	if _, _, err := ReadStream(bytes.NewReader([]byte("ICFS\x02xxxx")), drop); !errors.As(err, &verr) {
+	var vererr *wire.VersionError
+	if _, _, err := ReadStream(bytes.NewReader([]byte("ICFS\x02xxxx")), drop); !errors.As(err, &vererr) {
 		t.Fatalf("wrong version accepted: %v", err)
 	}
+	var verr *wire.CorruptError
 	if _, _, err := ReadStream(bytes.NewReader([]byte("NOPE")), drop); !errors.As(err, &verr) {
 		t.Fatalf("bad magic accepted: %v", err)
 	}
@@ -172,7 +181,7 @@ func TestStreamTrailerMismatch(t *testing.T) {
 	// byte uvarint(1); bump it.
 	corrupt := append([]byte(nil), full...)
 	corrupt[len(corrupt)-1] = 3
-	var verr *ValidationError
+	var verr *wire.CorruptError
 	if _, n, err := ReadStream(bytes.NewReader(corrupt), drop); !errors.As(err, &verr) || n != 1 {
 		t.Fatalf("trailer mismatch: n=%d err=%v", n, err)
 	}
@@ -211,21 +220,21 @@ func TestStreamFrameSlack(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
+	bw := wire.NewWriter(&buf)
 	bw.Write(streamMagic[:])
-	writeString(bw, "gzip")
-	putUvarint(bw, 42)
-	writeString(bw, "prod")
-	writeString(bw, "h")
+	bw.String("gzip")
+	bw.Uvarint(42)
+	bw.String("prod")
+	bw.String("h")
 	bw.WriteByte(recBatch)
-	putUvarint(bw, uint64(payload.Len()+3))
+	bw.Uvarint(uint64(payload.Len() + 3))
 	bw.Write(payload.Bytes())
 	bw.WriteString("xxx")
 	bw.WriteByte(recEnd)
-	putUvarint(bw, 1)
+	bw.Uvarint(1)
 	bw.Flush()
 
-	var verr *ValidationError
+	var verr *wire.CorruptError
 	if _, _, err := ReadStream(&buf, drop); !errors.As(err, &verr) {
 		t.Fatalf("frame slack accepted: %v", err)
 	}
@@ -233,15 +242,15 @@ func TestStreamFrameSlack(t *testing.T) {
 
 func TestStreamUnknownRecord(t *testing.T) {
 	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
+	bw := wire.NewWriter(&buf)
 	bw.Write(streamMagic[:])
-	writeString(bw, "gzip")
-	putUvarint(bw, 42)
-	writeString(bw, "prod")
-	writeString(bw, "h")
+	bw.String("gzip")
+	bw.Uvarint(42)
+	bw.String("prod")
+	bw.String("h")
 	bw.WriteByte('Z')
 	bw.Flush()
-	var verr *ValidationError
+	var verr *wire.CorruptError
 	if _, _, err := ReadStream(&buf, drop); !errors.As(err, &verr) {
 		t.Fatalf("unknown record accepted: %v", err)
 	}

@@ -1,14 +1,12 @@
 package profiler
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
 	"sort"
 
 	"icost/internal/cache"
 	"icost/internal/isa"
+	"icost/internal/wire"
 )
 
 // Binary sample format: what the performance-monitoring hardware's
@@ -16,23 +14,28 @@ import (
 // analysis can run on different machines (or at different times).
 // Little-endian; versioned by the magic's last byte.
 
-var sampleMagic = [5]byte{'I', 'C', 'S', 'P', 1}
+// Sample format versions: codecver checks that ReadSamples dispatches
+// each one and that sampleMagic stamps the newest.
+//
+//lint:codec icsp
+const (
+	sampleVersion1       = 1 // initial format
+	sampleVersionCurrent = sampleVersion1
+)
+
+//lint:codec-encode icsp
+var sampleMagic = [5]byte{'I', 'C', 'S', 'P', sampleVersionCurrent}
 
 // WriteSamples serializes s.
 func WriteSamples(w io.Writer, s *Samples) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(sampleMagic[:]); err != nil {
-		return err
-	}
-	putUv(bw, uint64(s.Insts))
+	bw := wire.NewWriter(w)
+	bw.Write(sampleMagic[:])
+	bw.Uvarint(uint64(s.Insts))
 
-	putUv(bw, uint64(len(s.Sigs)))
+	bw.Uvarint(uint64(len(s.Sigs)))
 	for _, sig := range s.Sigs {
-		putU64(bw, uint64(sig.StartPC))
-		putUv(bw, uint64(len(sig.Bits)))
-		for _, b := range sig.Bits {
-			bw.WriteByte(byte(b))
-		}
+		bw.U64(uint64(sig.StartPC))
+		writeBits(bw, sig.Bits)
 	}
 
 	// Details, in sorted PC order for deterministic output.
@@ -43,194 +46,83 @@ func WriteSamples(w io.Writer, s *Samples) error {
 		total += len(ds)
 	}
 	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	putUv(bw, uint64(total))
+	bw.Uvarint(uint64(total))
 	for _, pc := range pcs {
 		for _, d := range s.Details[pc] {
-			putU64(bw, uint64(d.PC))
+			bw.U64(uint64(d.PC))
 			bw.WriteByte(byte(d.Info.Op))
-			putUv(bw, uint64(d.Info.SIdx+1)) // -1 becomes 0
-			var flags byte
-			if d.Info.Mispredict {
-				flags |= 1
-			}
-			if d.Info.DTLBMiss {
-				flags |= 2
-			}
-			if d.Info.ITLBMiss {
-				flags |= 4
-			}
-			if d.Taken {
-				flags |= 8
-			}
-			bw.WriteByte(flags)
+			bw.Uvarint(uint64(d.Info.SIdx + 1)) // -1 becomes 0
+			bw.Flags(d.Info.Mispredict, d.Info.DTLBMiss, d.Info.ITLBMiss, d.Taken)
 			bw.WriteByte(byte(d.Info.DataLevel))
 			bw.WriteByte(byte(d.Info.ILevel))
-			putUv(bw, uint64(d.RELat))
-			putU64(bw, uint64(d.Target))
-			putUv(bw, uint64(d.PPDelta))
-			putUv(bw, uint64(len(d.Before)))
-			for _, b := range d.Before {
-				bw.WriteByte(byte(b))
-			}
-			putUv(bw, uint64(len(d.After)))
-			for _, b := range d.After {
-				bw.WriteByte(byte(b))
-			}
+			bw.Uvarint(uint64(d.RELat))
+			bw.U64(uint64(d.Target))
+			bw.Uvarint(uint64(d.PPDelta))
+			writeBits(bw, d.Before)
+			writeBits(bw, d.After)
 		}
 	}
 	return bw.Flush()
 }
 
+func writeBits(bw wire.Writer, bits []SigBits) {
+	bw.Uvarint(uint64(len(bits)))
+	for _, b := range bits {
+		bw.WriteByte(byte(b))
+	}
+}
+
 // ReadSamples deserializes samples written by WriteSamples.
+//
+//lint:codec-decode icsp
 func ReadSamples(r io.Reader) (*Samples, error) {
-	br := bufio.NewReader(r)
-	var magic [5]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("profiler: reading magic: %w", err)
+	br := wire.NewReader(r, "profiler")
+	switch v := br.Magic("ICSP"); v {
+	case sampleVersion1:
+	default:
+		return nil, br.Unsupported(v, sampleVersionCurrent)
 	}
-	if magic != sampleMagic {
-		return nil, fmt.Errorf("profiler: bad magic %q", magic)
-	}
-	insts, err := getUv(br, 1<<31)
-	if err != nil {
-		return nil, err
-	}
-	s := &Samples{Details: map[isa.Addr][]DetailedSample{}, Insts: int(insts)}
+	s := &Samples{Details: map[isa.Addr][]DetailedSample{}, Insts: int(br.Uvarint(1 << 31))}
 
-	nSigs, err := getUv(br, 1<<24)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(nSigs); i++ {
-		var sig SignatureSample
-		pc, err := getU64(br)
-		if err != nil {
-			return nil, err
-		}
-		sig.StartPC = isa.Addr(pc)
-		n, err := getUv(br, 1<<20)
-		if err != nil {
-			return nil, err
-		}
-		sig.Bits = make([]SigBits, 0, min(int(n), 4096))
-		for j := 0; j < int(n); j++ {
-			b, err := br.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			sig.Bits = append(sig.Bits, SigBits(b))
-		}
-		s.Sigs = append(s.Sigs, sig)
+	nSigs := br.Uvarint(1 << 24)
+	for i := uint64(0); i < nSigs && br.Ok(); i++ {
+		pc := isa.Addr(br.U64())
+		s.Sigs = append(s.Sigs, SignatureSample{StartPC: pc, Bits: wire.Run[SigBits](br, br.Uvarint(1<<20))})
 	}
 
-	nDetails, err := getUv(br, 1<<28)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(nDetails); i++ {
+	nDetails := br.Uvarint(1 << 28)
+	for i := uint64(0); i < nDetails && br.Ok(); i++ {
 		var d DetailedSample
-		pc, err := getU64(br)
-		if err != nil {
-			return nil, err
+		d.PC = isa.Addr(br.U64())
+		if d.Info.Op = isa.Op(br.Byte()); d.Info.Op >= isa.NumOps {
+			return nil, br.Fail("invalid opcode %d", d.Info.Op)
 		}
-		d.PC = isa.Addr(pc)
-		op, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if isa.Op(op) >= isa.NumOps {
-			return nil, fmt.Errorf("profiler: invalid opcode %d", op)
-		}
-		d.Info.Op = isa.Op(op)
 		// Bound is MaxInt32, not 1<<31: a stored value of exactly 1<<31
 		// would wrap int32(sidx)-1 around to MaxInt32 and the sample
 		// could never re-encode canonically.
-		sidx, err := getUv(br, 1<<31-1)
-		if err != nil {
-			return nil, err
-		}
-		d.Info.SIdx = int32(sidx) - 1
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
+		d.Info.SIdx = int32(br.Uvarint(1<<31-1)) - 1
+		flags := br.Byte()
 		d.Info.Mispredict = flags&1 != 0
 		d.Info.DTLBMiss = flags&2 != 0
 		d.Info.ITLBMiss = flags&4 != 0
 		d.Taken = flags&8 != 0
-		var lv [2]byte
-		if _, err := io.ReadFull(br, lv[:]); err != nil {
-			return nil, err
+		data, inst := br.Byte(), br.Byte()
+		if data > byte(cache.LevelMem) || inst > byte(cache.LevelMem) {
+			return nil, br.Fail("invalid cache level")
 		}
-		if lv[0] > byte(cache.LevelMem) || lv[1] > byte(cache.LevelMem) {
-			return nil, fmt.Errorf("profiler: invalid cache level")
-		}
-		d.Info.DataLevel = cache.Level(lv[0])
-		d.Info.ILevel = cache.Level(lv[1])
-		re, err := getUv(br, 1<<30)
-		if err != nil {
-			return nil, err
-		}
-		d.RELat = int32(re)
-		tgt, err := getU64(br)
-		if err != nil {
-			return nil, err
-		}
-		d.Target = isa.Addr(tgt)
-		pp, err := getUv(br, 1<<30)
-		if err != nil {
-			return nil, err
-		}
-		d.PPDelta = int32(pp)
-		for _, dst := range []*[]SigBits{&d.Before, &d.After} {
-			n, err := getUv(br, 1<<16)
-			if err != nil {
-				return nil, err
-			}
-			*dst = make([]SigBits, 0, min(int(n), 256))
-			for j := 0; j < int(n); j++ {
-				b, err := br.ReadByte()
-				if err != nil {
-					return nil, err
-				}
-				*dst = append(*dst, SigBits(b))
-			}
-		}
+		d.Info.DataLevel, d.Info.ILevel = cache.Level(data), cache.Level(inst)
+		d.RELat = int32(br.Uvarint(1 << 30))
+		d.Target = isa.Addr(br.U64())
+		d.PPDelta = int32(br.Uvarint(1 << 30))
+		d.Before = wire.Run[SigBits](br, br.Uvarint(1<<16))
+		d.After = wire.Run[SigBits](br, br.Uvarint(1<<16))
 		s.Details[d.PC] = append(s.Details[d.PC], d)
 	}
+	if !br.Ok() {
+		return nil, br.Err()
+	}
 	if len(s.Sigs) == 0 {
-		return nil, fmt.Errorf("profiler: sample file has no signature samples")
+		return nil, br.Fail("sample file has no signature samples")
 	}
 	return s, nil
-}
-
-func putUv(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func putU64(w *bufio.Writer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	w.Write(buf[:])
-}
-
-func getUv(r *bufio.Reader, max uint64) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("profiler: reading varint: %w", err)
-	}
-	if v > max {
-		return 0, fmt.Errorf("profiler: field %d exceeds bound %d", v, max)
-	}
-	return v, nil
-}
-
-func getU64(r *bufio.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
 }

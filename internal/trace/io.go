@@ -1,20 +1,18 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
 
 	"icost/internal/isa"
 	"icost/internal/program"
+	"icost/internal/wire"
 )
 
 // Binary trace format, so traces can be captured once and analyzed
 // many times (or produced by external tools and fed to the
 // simulator). Layout, little-endian:
 //
-//	magic   "ICTR\x01"
+//	magic   "ICTR" + version byte
 //	name    uvarint len + bytes
 //	static  uvarint count, then per instruction:
 //	          op u8, dst u8, src1 u8, src2 u8, target u64
@@ -22,171 +20,113 @@ import (
 //	dynamic uvarint count, then per instruction:
 //	          sidx uvarint, flags u8 (bit0 = taken),
 //	          addr u64 (mem ops only), target u64
-//
-// The format is versioned by the magic's last byte.
 
-var traceMagic = [5]byte{'I', 'C', 'T', 'R', 1}
+// Trace format versions: codecver checks that Read dispatches each
+// one and that traceMagic stamps the newest.
+//
+//lint:codec ictr
+const (
+	traceVersion1       = 1 // initial format
+	traceVersionCurrent = traceVersion1
+)
+
+//lint:codec-encode ictr
+var traceMagic = [5]byte{'I', 'C', 'T', 'R', traceVersionCurrent}
 
 // Write serializes t.
 func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(traceMagic[:]); err != nil {
-		return err
-	}
-	writeUvarint(bw, uint64(len(t.Name)))
-	bw.WriteString(t.Name)
+	bw := wire.NewWriter(w)
+	bw.Write(traceMagic[:])
+	bw.String(t.Name)
 
-	writeUvarint(bw, uint64(t.Prog.Len()))
+	bw.Uvarint(uint64(t.Prog.Len()))
 	for i := 0; i < t.Prog.Len(); i++ {
 		in := t.Prog.At(i)
 		bw.WriteByte(byte(in.Op))
 		bw.WriteByte(byte(in.Dst))
 		bw.WriteByte(byte(in.Src1))
 		bw.WriteByte(byte(in.Src2))
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(in.Target))
-		bw.Write(buf[:])
+		bw.U64(uint64(in.Target))
 	}
 	blocks := t.Prog.Blocks()
-	writeUvarint(bw, uint64(len(blocks)))
+	bw.Uvarint(uint64(len(blocks)))
 	for _, b := range blocks {
-		writeUvarint(bw, uint64(b))
+		bw.Uvarint(uint64(b))
 	}
 
-	writeUvarint(bw, uint64(t.Len()))
+	bw.Uvarint(uint64(t.Len()))
 	for i := range t.Insts {
 		d := &t.Insts[i]
-		writeUvarint(bw, uint64(d.SIdx))
-		var flags byte
-		if d.Taken {
-			flags |= 1
-		}
-		bw.WriteByte(flags)
-		var buf [8]byte
+		bw.Uvarint(uint64(d.SIdx))
+		bw.Flags(d.Taken)
 		if t.Prog.At(int(d.SIdx)).Op.IsMem() {
-			binary.LittleEndian.PutUint64(buf[:], uint64(d.Addr))
-			bw.Write(buf[:])
+			bw.U64(uint64(d.Addr))
 		}
-		binary.LittleEndian.PutUint64(buf[:], uint64(d.Target))
-		bw.Write(buf[:])
+		bw.U64(uint64(d.Target))
 	}
 	return bw.Flush()
 }
 
 // Read deserializes a trace written by Write and validates it.
+//
+//lint:codec-decode ictr
 func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var magic [5]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	br := wire.NewReader(r, "trace")
+	switch v := br.Magic("ICTR"); v {
+	case traceVersion1:
+	default:
+		return nil, br.Unsupported(v, traceVersionCurrent)
 	}
-	if magic != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	nameLen, err := readUvarint(br, 1<<16)
-	if err != nil {
-		return nil, err
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, nameBuf); err != nil {
-		return nil, err
-	}
+	name := br.String(1 << 16)
 
-	nStatic, err := readUvarint(br, 1<<26)
-	if err != nil {
-		return nil, err
-	}
-	// Grow incrementally: the claimed count is attacker-controlled,
-	// so memory must be bounded by the bytes actually present.
-	insts := make([]isa.Inst, 0, min(int(nStatic), 4096))
-	for i := 0; i < int(nStatic); i++ {
-		var hdr [4]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil, err
-		}
-		var buf [8]byte
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, err
-		}
-		insts = append(insts, isa.Inst{
-			Op:     isa.Op(hdr[0]),
-			Dst:    isa.Reg(hdr[1]),
-			Src1:   isa.Reg(hdr[2]),
-			Src2:   isa.Reg(hdr[3]),
-			Target: isa.Addr(binary.LittleEndian.Uint64(buf[:])),
+	// Slices grow as records arrive: the claimed counts are
+	// attacker-controlled, so memory must be bounded by the bytes
+	// actually present.
+	nStatic := br.Uvarint(1 << 26)
+	insts := make([]isa.Inst, 0, min(nStatic, 4096))
+	for i := uint64(0); i < nStatic && br.Ok(); i++ {
+		insts = append(insts, isa.Inst{ // fields read in order
+			Op:     isa.Op(br.Byte()),
+			Dst:    isa.Reg(br.Byte()),
+			Src1:   isa.Reg(br.Byte()),
+			Src2:   isa.Reg(br.Byte()),
+			Target: isa.Addr(br.U64()),
 		})
 	}
-	nBlocks, err := readUvarint(br, nStatic+1)
-	if err != nil {
-		return nil, err
+	nBlocks := br.Uvarint(nStatic + 1)
+	blocks := make([]int, 0, min(nBlocks, 4096))
+	for i := uint64(0); i < nBlocks && br.Ok(); i++ {
+		blocks = append(blocks, int(br.Uvarint(nStatic)))
 	}
-	blocks := make([]int, 0, min(int(nBlocks), 4096))
-	for i := 0; i < int(nBlocks); i++ {
-		b, err := readUvarint(br, nStatic)
-		if err != nil {
-			return nil, err
-		}
-		blocks = append(blocks, int(b))
+	if !br.Ok() {
+		return nil, br.Err()
 	}
 	prog := program.New(insts, blocks)
 	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: embedded program invalid: %w", err)
+		return nil, br.Fail("embedded program invalid: %v", err)
 	}
 
-	nDyn, err := readUvarint(br, 1<<28)
-	if err != nil {
-		return nil, err
-	}
+	nDyn := br.Uvarint(1 << 28)
 	if nDyn > 0 && nStatic == 0 {
 		// Guard the sidx bound below: nStatic-1 would wrap.
-		return nil, fmt.Errorf("trace: dynamic instructions without a program")
+		return nil, br.Fail("dynamic instructions without a program")
 	}
-	dyn := make([]DynInst, 0, min(int(nDyn), 65536))
-	for i := 0; i < int(nDyn); i++ {
-		sidx, err := readUvarint(br, nStatic-1)
-		if err != nil {
-			return nil, err
-		}
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		d := DynInst{SIdx: int32(sidx), Taken: flags&1 != 0}
-		var buf [8]byte
+	dyn := make([]DynInst, 0, min(nDyn, 65536))
+	for i := uint64(0); i < nDyn && br.Ok(); i++ {
+		sidx := br.Uvarint(nStatic - 1)
+		d := DynInst{SIdx: int32(sidx), Taken: br.Byte()&1 != 0}
 		if prog.At(int(sidx)).Op.IsMem() {
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
-				return nil, err
-			}
-			d.Addr = isa.Addr(binary.LittleEndian.Uint64(buf[:]))
+			d.Addr = isa.Addr(br.U64())
 		}
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, err
-		}
-		d.Target = isa.Addr(binary.LittleEndian.Uint64(buf[:]))
+		d.Target = isa.Addr(br.U64())
 		dyn = append(dyn, d)
 	}
-	t := &Trace{Prog: prog, Insts: dyn, Name: string(nameBuf)}
+	if !br.Ok() {
+		return nil, br.Err()
+	}
+	t := &Trace{Prog: prog, Insts: dyn, Name: name}
 	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: loaded stream invalid: %w", err)
+		return nil, br.Fail("loaded stream invalid: %v", err)
 	}
 	return t, nil
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-// readUvarint reads a varint and rejects values above max (corrupt or
-// hostile input must not drive huge allocations).
-func readUvarint(r *bufio.Reader, max uint64) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("trace: reading varint: %w", err)
-	}
-	if v > max {
-		return 0, fmt.Errorf("trace: field %d exceeds bound %d", v, max)
-	}
-	return v, nil
 }

@@ -71,7 +71,7 @@ func FuzzDecode(f *testing.F) {
 
 // TestCorruptInputs pins decoder behavior on specific corruption
 // shapes found worth guarding (regression cases for FuzzDecode finds
-// and for the hand-audited bounds in readUvarint).
+// and for the field bounds Read passes to the wire reader).
 func TestCorruptInputs(t *testing.T) {
 	valid := encodeValid(t)
 	// The name "corrupt-seed" starts right after the 5-byte magic and
